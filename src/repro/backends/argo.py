@@ -91,17 +91,18 @@ class ArgoBackend(Backend):
 
     def compile(self, ir: WorkflowIR) -> dict:
         ir = self.prepare(ir)
+        order = ir.topological_order()
+        parents = ir.parents_map()
         tasks = []
-        for name in ir.topological_order():
+        for name in order:
             node = ir.nodes[name]
             task: dict = {"name": name, "template": name}
-            parents = ir.parents(name)
-            if parents:
-                task["dependencies"] = parents
+            if parents[name]:
+                task["dependencies"] = parents[name]
             if node.when:
                 task["when"] = node.when
             tasks.append(task)
-        templates = [_template_for(ir.nodes[n]) for n in ir.topological_order()]
+        templates = [_template_for(ir.nodes[n]) for n in order]
         templates.append({"name": "main", "dag": {"tasks": tasks}})
         return {
             "apiVersion": "argoproj.io/v1alpha1",

@@ -8,6 +8,7 @@ edges, and artifact declarations.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -54,6 +55,24 @@ class WorkflowIR:
     def children(self, name: str) -> List[str]:
         return sorted(c for p, c in self.edges if p == name)
 
+    def parents_map(self) -> Dict[str, List[str]]:
+        """Every node's sorted parent list, built in one pass over the edges."""
+        parents: Dict[str, List[str]] = {name: [] for name in self.nodes}
+        for parent, child in self.edges:
+            parents.setdefault(child, []).append(parent)
+        for names in parents.values():
+            names.sort()
+        return parents
+
+    def children_map(self) -> Dict[str, List[str]]:
+        """Every node's sorted child list, built in one pass over the edges."""
+        children: Dict[str, List[str]] = {name: [] for name in self.nodes}
+        for parent, child in self.edges:
+            children.setdefault(parent, []).append(child)
+        for names in children.values():
+            names.sort()
+        return children
+
     def roots(self) -> List[str]:
         have_parents = {c for _, c in self.edges}
         return sorted(n for n in self.nodes if n not in have_parents)
@@ -66,27 +85,23 @@ class WorkflowIR:
         return len(self.nodes)
 
     def topological_order(self) -> List[str]:
-        """Kahn's algorithm; raises :class:`IRError` on cycles."""
+        """Kahn's algorithm, always taking the smallest ready name (so the
+        order is deterministic); raises :class:`IRError` on cycles."""
+        children: Dict[str, List[str]] = {name: [] for name in self.nodes}
         indegree = {name: 0 for name in self.nodes}
-        for _, child in self.edges:
+        for parent, child in self.edges:
+            children.setdefault(parent, []).append(child)
             indegree[child] += 1
-        ready = sorted(n for n, d in indegree.items() if d == 0)
+        ready = [n for n, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
         order: List[str] = []
         while ready:
-            node = ready.pop(0)
+            node = heapq.heappop(ready)
             order.append(node)
-            for child in self.children(node):
+            for child in children[node]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
-                    # Insert keeping 'ready' sorted for determinism.
-                    lo, hi = 0, len(ready)
-                    while lo < hi:
-                        mid = (lo + hi) // 2
-                        if ready[mid] < child:
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    ready.insert(lo, child)
+                    heapq.heappush(ready, child)
         if len(order) != len(self.nodes):
             raise IRError(f"workflow {self.name} contains a cycle")
         return order
@@ -140,6 +155,7 @@ class WorkflowIR:
         self.finalize_artifacts()
         self.validate()
         workflow = ExecutableWorkflow(name=self.name)
+        parents = self.parents_map()
         for node_name in self.topological_order():
             node = self.nodes[node_name]
             workflow.add_step(
@@ -147,7 +163,7 @@ class WorkflowIR:
                     name=node.name,
                     duration_s=node.sim.duration_s,
                     requests=node.resources,
-                    dependencies=self.parents(node.name),
+                    dependencies=parents[node.name],
                     inputs=[
                         ArtifactSpec(
                             uid=a.uid or f"external/{a.name}",

@@ -22,7 +22,15 @@ from .apiserver import (
 )
 from .cluster import Cluster, Node, Scheduler, SchedulingError
 from .etcd import EtcdStore, ExceededQuotaErr, KeyNotFoundError, RevisionConflictError
-from .objects import APIObject, ObjectMeta, Pod, PodPhase, crd_yaml_size, make_crd
+from .objects import (
+    APIObject,
+    ObjectMeta,
+    Pod,
+    PodPhase,
+    crd_yaml_size,
+    make_crd,
+    manifest_yaml,
+)
 from .resources import ResourceQuantity, ResourceError, parse_cpu, parse_memory
 
 __all__ = [
@@ -51,6 +59,7 @@ __all__ = [
     "WatchEvent",
     "crd_yaml_size",
     "make_crd",
+    "manifest_yaml",
     "parse_cpu",
     "parse_memory",
 ]

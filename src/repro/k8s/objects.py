@@ -197,8 +197,51 @@ def make_crd(
     )
 
 
-def crd_yaml_size(manifest: dict) -> int:
-    """Byte size of a manifest as YAML — the budget unit in Algorithm 3."""
+def _libyaml_agrees(data: object) -> bool:
+    """Will libyaml emit ``data`` byte for byte as PyYAML's emitter does?
+
+    The two agree on plain and single-quoted scalars, but fold long
+    double-quoted scalars at different points and treat mapping keys
+    near 128 characters differently.  Only a string that is not
+    printable ASCII can need double quotes, so a document holding such
+    a string, or a long key, is left to the pure-Python emitter.
+    """
+    stack = [data]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            if not (item.isascii() and item.isprintable()):
+                return False
+        elif isinstance(item, dict):
+            for key, value in item.items():
+                if isinstance(key, str) and len(key) >= 100:
+                    return False
+                stack.append(key)
+                stack.append(value)
+        elif isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, bytes):
+            return False
+    return True
+
+
+def manifest_yaml(manifest: object) -> str:
+    """Block YAML text of a manifest, keys in insertion order.
+
+    Byte-identical to ``yaml.safe_dump(manifest, sort_keys=False)``.
+    libyaml (``CSafeDumper``) emits it when PyYAML was built with it and
+    the document is one where the two emitters agree; the pure-Python
+    ``SafeDumper`` emits the rest.
+    """
     import yaml
 
-    return len(yaml.safe_dump(manifest, sort_keys=False).encode("utf-8"))
+    if yaml.__with_libyaml__ and _libyaml_agrees(manifest):
+        dumper = yaml.CSafeDumper
+    else:
+        dumper = yaml.SafeDumper
+    return yaml.dump(manifest, Dumper=dumper, sort_keys=False)
+
+
+def crd_yaml_size(manifest: dict) -> int:
+    """Byte size of a manifest as YAML — the budget unit in Algorithm 3."""
+    return len(manifest_yaml(manifest).encode("utf-8"))

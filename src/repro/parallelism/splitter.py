@@ -71,6 +71,7 @@ class SplitPlan:
 def _dfs_topological_order(ir: WorkflowIR) -> List[str]:
     """Reverse DFS postorder = a topological order, visiting roots in
     name order for determinism (iterative to handle deep graphs)."""
+    children = ir.children_map()
     visited: Set[str] = set()
     postorder: List[str] = []
     for root in ir.roots() or sorted(ir.nodes):
@@ -86,7 +87,7 @@ def _dfs_topological_order(ir: WorkflowIR) -> List[str]:
                 continue
             visited.add(node)
             stack.append((node, True))
-            for child in reversed(ir.children(node)):
+            for child in reversed(children[node]):
                 if child not in visited:
                     stack.append((child, False))
     # Isolated nodes unreachable from roots (cannot happen in a DAG with
@@ -95,6 +96,10 @@ def _dfs_topological_order(ir: WorkflowIR) -> List[str]:
         if node not in visited:
             postorder.append(node)
     return list(reversed(postorder))
+
+
+def _part_name(name: str, index: int) -> str:
+    return f"{name}-part-{index}"
 
 
 class WorkflowSplitter:
@@ -107,89 +112,62 @@ class WorkflowSplitter:
         """Split ``ir`` into budget-compliant sub-workflows.
 
         A workflow already within budget returns a single-part plan
-        (the algorithm's early return at line 10–12).
+        (the algorithm's early return at line 10–12).  Otherwise one
+        greedy pass over a DFS topological order packs vertices while
+        the exact running cost stays within budget, in O(|V| + |E|).
         """
         ir.finalize_artifacts()
         ir.validate()
         plan = SplitPlan(original_name=ir.name)
-        whole_cost = self.budget.exact_cost(ir)
-        if self.budget.within(whole_cost):
+        sizes = self.budget.manifest_sizes(ir)
+        if self.budget.within(sizes.whole):
             plan.parts = [ir]
             plan.assignment = {name: 0 for name in ir.nodes}
-            plan.costs = [whole_cost]
+            plan.costs = [sizes.whole]
             return plan
 
-        node_bytes = {
-            name: self.budget.estimate_node_bytes(ir, name) for name in ir.nodes
-        }
+        parents = ir.parents_map()
         order = _dfs_topological_order(ir)
-
-        # Self-calibration: per-node estimates from single-node compiles
-        # miss structure shared across templates; scale them against an
-        # exact compile of one sample chunk so estimates track reality.
-        sample = order[: min(50, len(order))]
-        estimated = self.budget.estimate_cost(ir, sample, node_bytes)
-        actual = self.budget.exact_cost(ir.subgraph(sample, name="calibration"))
-        if estimated.yaml_bytes > 0 and actual.yaml_bytes > estimated.yaml_bytes:
-            scale = actual.yaml_bytes / estimated.yaml_bytes
-            node_bytes = {name: int(size * scale) + 1 for name, size in node_bytes.items()}
-
-        oversized = [
-            name
-            for name, size in node_bytes.items()
-            if size + self.budget.base_bytes > self.budget.max_yaml_bytes
-        ]
-        if oversized:
-            raise SplitError(
-                f"nodes exceed the budget even alone: {sorted(oversized)}"
-            )
         chunks: List[List[str]] = []
+        packed: List[BudgetCost] = []
         candidate: List[str] = []
+        cost = sizes.header(_part_name(ir.name, 0))
         for vertex in order:
-            trial = candidate + [vertex]
-            cost = self.budget.estimate_cost(ir, trial, node_bytes)
-            if candidate and not self.budget.within(cost):
+            internal = [p for p in parents[vertex] if plan.assignment[p] == len(chunks)]
+            trial = sizes.add(cost, vertex, internal)
+            if candidate and not self.budget.within(trial):
                 chunks.append(candidate)
-                candidate = [vertex]
-            else:
-                candidate = trial
+                packed.append(cost)
+                candidate = []
+                trial = sizes.add(sizes.header(_part_name(ir.name, len(chunks))), vertex, ())
+            if not candidate and not self.budget.within(trial):
+                raise SplitError(f"node {vertex!r} exceeds the budget even alone: {trial}")
+            candidate.append(vertex)
+            plan.assignment[vertex] = len(chunks)
+            cost = trial
         if candidate:
             chunks.append(candidate)
-
-        # Exact verification with halving fallback: any chunk whose real
-        # compiled size still exceeds the budget is split in two along
-        # the same order (the estimate is conservative, so this is rare
-        # and terminates: a single node always fits per the check above).
-        verified: List[List[str]] = []
-        pending = list(chunks)
-        while pending:
-            chunk = pending.pop(0)
-            cost = self.budget.exact_cost(ir.subgraph(chunk, name="verify"))
-            if self.budget.within(cost) or len(chunk) == 1:
-                verified.append(chunk)
-            else:
-                middle = len(chunk) // 2
-                pending.insert(0, chunk[middle:])
-                pending.insert(0, chunk[:middle])
-        chunks = verified
+            packed.append(cost)
 
         for index, chunk in enumerate(chunks):
-            part = ir.subgraph(chunk, name=f"{ir.name}-part-{index}")
+            part = WorkflowIR(name=_part_name(ir.name, index), config=dict(ir.config))
+            for name in sorted(chunk):
+                part.nodes[name] = ir.nodes[name]
             plan.parts.append(part)
-            for name in chunk:
-                plan.assignment[name] = index
-
         for parent, child in ir.edges:
             src, dst = plan.assignment[parent], plan.assignment[child]
-            if src != dst:
+            if src == dst:
+                plan.parts[src].edges.add((parent, child))
+            else:
                 plan.cross_edges.add((src, dst))
                 plan.cut_edges.add((parent, child))
 
+        # Production guard: one real dump per final part.
         plan.costs = [self.budget.exact_cost(part) for part in plan.parts]
-        for index, cost in enumerate(plan.costs):
-            if not self.budget.within(cost):
+        for index, (exact, additive) in enumerate(zip(plan.costs, packed)):
+            if exact != additive:
                 raise SplitError(
-                    f"part {index} still exceeds the budget after split: {cost}"
+                    f"part {index}: additive size {additive} != exact dump {exact}"
                 )
         plan.topological_part_order()  # raises on cyclic part graph
         self._check_partition(ir, plan)

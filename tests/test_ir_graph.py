@@ -48,11 +48,21 @@ class TestStructure:
         assert ir.children("a") == ["b", "c"]
         assert ir.roots() == ["a"]
         assert ir.leaves() == ["d"]
+        assert ir.parents_map() == {n: ir.parents(n) for n in "abcd"}
+        assert ir.children_map() == {n: ir.children(n) for n in "abcd"}
 
     def test_topological_order(self):
         order = _diamond().topological_order()
         assert order.index("a") < order.index("b") < order.index("d")
         assert order.index("a") < order.index("c") < order.index("d")
+
+    def test_topological_order_takes_smallest_ready_name(self):
+        ir = WorkflowIR(name="w")
+        for name in ("z", "a", "m", "b"):
+            ir.add_node(_node(name))
+        ir.add_edge("z", "a")
+        ir.add_edge("m", "b")
+        assert ir.topological_order() == ["m", "b", "z", "a"]
 
     def test_cycle_detected(self):
         ir = WorkflowIR(name="w")

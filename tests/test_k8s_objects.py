@@ -1,5 +1,9 @@
 """Unit tests for API objects, pods and CRD helpers."""
 
+from pathlib import Path
+
+import pytest
+import yaml
 
 from repro.k8s.objects import (
     APIObject,
@@ -8,6 +12,7 @@ from repro.k8s.objects import (
     PodPhase,
     crd_yaml_size,
     make_crd,
+    manifest_yaml,
 )
 from repro.k8s.resources import ResourceQuantity
 
@@ -75,9 +80,41 @@ class TestPod:
 
 class TestCrdYamlSize:
     def test_matches_yaml_dump_length(self):
-        import yaml
-
         manifest = make_crd("Workflow", "a", spec={"steps": list(range(50))}).to_dict()
         assert crd_yaml_size(manifest) == len(
             yaml.safe_dump(manifest, sort_keys=False).encode("utf-8")
         )
+
+
+_GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.yaml"))
+
+
+class TestManifestYaml:
+    """``manifest_yaml`` must emit the same bytes on either PyYAML path."""
+
+    @pytest.mark.parametrize("path", _GOLDEN, ids=lambda p: p.name)
+    def test_pure_python_fallback_is_byte_identical(self, path, monkeypatch):
+        text = path.read_text()
+        manifest = yaml.safe_load(text)
+        # What a PyYAML build without libyaml looks like.
+        monkeypatch.setattr(yaml, "__with_libyaml__", False)
+        monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+        assert manifest_yaml(manifest) == text
+
+    @pytest.mark.parametrize("path", _GOLDEN, ids=lambda p: p.name)
+    def test_default_path_is_byte_identical(self, path):
+        text = path.read_text()
+        assert manifest_yaml(yaml.safe_load(text)) == text
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            # Each of these comes out differently from raw libyaml.
+            {"spec": {"source": "line one\n    indented " + "word " * 30}},
+            {"spec": {"source": "tab\t" + "x " * 60}},
+            {"spec": {"source": "caf\u00e9 " * 30}},
+            {"spec": {"k" * 128: 1}},
+        ],
+    )
+    def test_documents_libyaml_would_change_match_pure_python(self, manifest):
+        assert manifest_yaml(manifest) == yaml.safe_dump(manifest, sort_keys=False)

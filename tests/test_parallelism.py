@@ -16,6 +16,7 @@ from repro.parallelism import (
     StagedSubmitter,
     WorkflowSplitter,
 )
+from repro.parallelism.splitter import _dfs_topological_order
 
 
 def _layered_ir(layers: int = 8, width: int = 12, seed: int = 3) -> WorkflowIR:
@@ -105,32 +106,57 @@ class TestSplitter:
         for src, dst in plan.cross_edges:
             assert src < dst  # chunks cut along a topological order
 
-    def test_halving_fallback_rescues_bad_estimates(self):
-        # estimate_margin=0 collapses every estimate to zero bytes, so
-        # the greedy pass packs the whole DAG into one "fitting" chunk.
-        # Exact verification must catch the lie and halve until every
-        # part genuinely compiles within the budget.
+    def test_greedy_parts_are_maximal_under_binding_byte_budget(self):
+        # Bytes bind, steps do not: every part fits, and every part but
+        # the last would overflow (by an exact dump) if the next vertex
+        # of the DFS order were added to it.
         ir = _layered_ir()
-        budget = BudgetModel(max_yaml_bytes=20_000, estimate_margin=0.0)
-        assert budget.needs_split(ir)
-        plan = WorkflowSplitter(budget).split(ir)
-        assert plan.num_parts > 1  # only the fallback could have split
-        for cost in plan.costs:
-            assert budget.within(cost)
-        all_nodes = set()
-        for part in plan.parts:
-            all_nodes |= set(part.nodes)
-        assert all_nodes == set(ir.nodes)
-
-    def test_halving_fallback_preserves_topological_cuts(self):
-        ir = _layered_ir(layers=6, width=8, seed=5)
-        budget = BudgetModel(max_yaml_bytes=15_000, estimate_margin=0.0)
+        budget = BudgetModel(max_yaml_bytes=20_000)
         plan = WorkflowSplitter(budget).split(ir)
         assert plan.num_parts > 1
-        order = plan.topological_part_order()
-        assert sorted(order) == list(range(plan.num_parts))
-        for src, dst in plan.cross_edges:
-            assert src < dst
+        order = _dfs_topological_order(ir)
+        for index, part in enumerate(plan.parts):
+            assert plan.costs[index] == budget.exact_cost(part)
+            assert budget.within(plan.costs[index])
+            assert plan.costs[index].steps < budget.max_steps
+            if index == plan.num_parts - 1:
+                continue
+            following = next(n for n in order if plan.assignment[n] == index + 1)
+            grown = ir.subgraph(list(part.nodes) + [following], name=part.name)
+            assert budget.exact_cost(grown).yaml_bytes > budget.max_yaml_bytes
+
+    def test_split_compiles_whole_once_and_each_part_once(self, monkeypatch):
+        compiled = []
+        compile_ir = ArgoBackend.compile
+
+        def counting_compile(backend, ir):
+            compiled.append(ir.name)
+            return compile_ir(backend, ir)
+
+        def no_subgraph(*args, **kwargs):
+            raise AssertionError("split must not build per-node subgraphs")
+
+        monkeypatch.setattr(ArgoBackend, "compile", counting_compile)
+        monkeypatch.setattr(WorkflowIR, "subgraph", no_subgraph)
+        ir = _layered_ir()
+        plan = WorkflowSplitter(BudgetModel(max_yaml_bytes=20_000)).split(ir)
+        assert plan.num_parts > 1
+        assert compiled == [ir.name] + [part.name for part in plan.parts]
+
+    def test_node_exactly_at_the_byte_limit_splits(self):
+        ir = WorkflowIR(name="fat")
+        ir.add_node(
+            IRNode(name="huge", op=OpKind.CONTAINER, image="x",
+                   args=["y" * 5000], sim=SimHint(duration_s=1))
+        )
+        ir.add_node(IRNode(name="tiny", op=OpKind.CONTAINER, image="x"))
+        ir.add_edge("huge", "tiny")
+        alone = BudgetModel().exact_cost(ir.subgraph(["huge"], name="fat-part-0"))
+        plan = WorkflowSplitter(BudgetModel(max_yaml_bytes=alone.yaml_bytes)).split(ir)
+        assert plan.num_parts == 2
+        assert plan.costs[0] == alone
+        with pytest.raises(SplitError, match="huge"):
+            WorkflowSplitter(BudgetModel(max_yaml_bytes=alone.yaml_bytes - 1)).split(ir)
 
     def test_cut_edge_accounting_is_exact(self):
         ir = _layered_ir()

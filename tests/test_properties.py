@@ -2,15 +2,20 @@
 
 Covers: IR acyclicity and topological-order correctness under random
 DAG construction; split-plan partition/edge-preservation/budget
-invariants; artifact-store capacity conservation; engine scheduling
+invariants; exact additive CRD sizing against a real YAML dump; artifact-store capacity conservation; engine scheduling
 never violating dependencies; tokenizer/pricing monotonicity; pass@k
 estimator bounds; resource arithmetic laws.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from dataclasses import replace
+
+import yaml
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from repro.backends.argo import ArgoBackend
 
 from repro.caching.artifact_store import ArtifactStore
 from repro.caching.policy import FIFOCachePolicy, LRUCachePolicy
@@ -26,6 +31,8 @@ from repro.llm.tokenizer import count_tokens
 from repro.nl2wf.passk import pass_at_k
 from repro.parallelism.budget import BudgetModel
 from repro.parallelism.splitter import WorkflowSplitter
+from repro.verify.generator import generate_ir
+from repro.verify.oracles import corpus_ir
 
 GB = 2**30
 
@@ -108,6 +115,82 @@ def test_split_plan_invariants(dag, max_steps):
         assert len(part.nodes) <= max_steps
     # The part dependency graph is acyclic (topological order exists).
     plan.topological_part_order()
+
+
+# Names YAML must quote, or they would load as ints, floats, booleans,
+# nulls or timestamps.
+_QUOTED_WORDS = ("true", "null", "off", "No", "2024-01-05")
+_LONG_WHEN = "{{tasks.flip.outputs.result}} == heads - 1 " * 4
+# Double-quoted and folded: libyaml and PyYAML fold this differently.
+_SOURCE = (
+    "def flip() -> None:\n    import random\n\n"
+    '    res = "heads" if random.randint(0, 1) == 0 else "tails"\n    print(res)\n'
+)
+
+
+def _quoted_name(index: int, style: int) -> str:
+    if style == 0 and index < len(_QUOTED_WORDS):
+        return _QUOTED_WORDS[index]
+    return (f"{index}", f"0{index}", f"{index}.5", f"0x{index:x}", f"1_{index:03d}")[style % 5]
+
+
+@st.composite
+def sized_irs(draw):
+    """A fuzzer or corpus IR, decorated with every case the sizing must
+    get right: ``when`` clauses, retries, SCRIPT and JOB nodes, strings
+    long enough to fold past column 80, and names YAML must quote."""
+    if draw(st.booleans()):
+        base = generate_ir(draw(st.integers(0, 10_000)))
+    else:
+        base = corpus_ir(draw(st.integers(0, 31)))
+    rename = {}
+    nodes = []
+    for index, name in enumerate(sorted(base.nodes)):
+        node = base.nodes[name]
+        style = draw(st.integers(0, 6))
+        rename[name] = _quoted_name(index, style) if style < 5 else name
+        change = {"name": rename[name]}
+        kind = draw(st.sampled_from(["keep", "script", "job", "fold"]))
+        if kind == "script":
+            change.update(op=OpKind.SCRIPT, source=_SOURCE, command=[], args=[], job_params={})
+        elif kind == "job":
+            change.update(op=OpKind.JOB, source=None, job_params={"num_ps": 1, "num_workers": 3})
+        elif kind == "fold":
+            change.update(
+                args=["word " * 25],
+                sim=replace(node.sim, result_options=("option " * 20, "tails")),
+            )
+        if draw(st.booleans()):
+            change["when"] = _LONG_WHEN
+        if draw(st.booleans()):
+            change["retries"] = draw(st.integers(0, 5))
+        nodes.append(replace(node, **change))
+    assume(len(set(rename.values())) == len(rename))
+    ir = WorkflowIR(name=draw(st.sampled_from(("prop",) + _QUOTED_WORDS)))
+    for node in nodes:
+        ir.add_node(node)
+    for parent, child in base.edges:
+        ir.add_edge(rename[parent], rename[child])
+    return ir
+
+
+@given(sized_irs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_additive_size_equals_yaml_dump(ir, data):
+    keep = data.draw(st.lists(st.sampled_from(sorted(ir.nodes)), min_size=1, unique=True))
+    name = data.draw(st.sampled_from([ir.name, f"{ir.name}-part-12", "123", "2024-01-05"]))
+    sizes = BudgetModel().manifest_sizes(ir)
+    whole = ArgoBackend().compile(ir)
+    assert sizes.whole.yaml_bytes == len(yaml.safe_dump(whole, sort_keys=False).encode())
+
+    parents = ir.parents_map()
+    cost = sizes.header(name)
+    for node in keep:
+        cost = sizes.add(cost, node, [p for p in parents[node] if p in keep])
+    sub = ir.subgraph(keep, name)
+    manifest = ArgoBackend().compile(sub)
+    assert cost.yaml_bytes == len(yaml.safe_dump(manifest, sort_keys=False).encode())
+    assert cost == BudgetModel().exact_cost(sub)
 
 
 # -------------------------------------------------------------- cache store
