@@ -11,7 +11,7 @@ concurrently over the same telco-churn table and pick the best.
 Run:  python examples/model_selection.py
 """
 
-from repro import core as couler
+from repro import couler
 from repro.core.step_zoo import Dataset, lightgbm, tensorflow as tf, xgboost
 
 

@@ -13,7 +13,7 @@ simulated cluster.
 Run:  python examples/quickstart.py
 """
 
-from repro import core as couler
+from repro import couler
 from repro.backends import ArgoBackend
 
 

@@ -34,7 +34,7 @@ workloads, experiments
     table/figure.
 """
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 __paper__ = (
     "Couler: Unified Machine Learning Workflow Optimization in Cloud, "
     "ICDE 2024"

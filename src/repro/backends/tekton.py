@@ -44,10 +44,11 @@ class TektonBackend(Backend):
     def compile(self, ir: WorkflowIR) -> dict:
         ir = self.prepare(ir)
         tasks: List[dict] = []
+        parents_of = ir.parents_map()
         for name in ir.topological_order():
             node = ir.nodes[name]
             task = _task_for(node)
-            parents = ir.parents(name)
+            parents = parents_of[name]
             if parents:
                 task["runAfter"] = parents
             if node.when:

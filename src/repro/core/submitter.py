@@ -15,18 +15,14 @@ environment).
 
 Engine knobs ride in one place: every submitter accepts a keyword-only
 ``config=``\\ :class:`~repro.engine.config.EngineConfig` bundle,
-validated at construction.  The per-feature legacy kwargs
-(``journaled=``, ``fairness=``, ``slo_class=``) keep working through a
-once-per-process deprecation bridge and resolve to the equivalent
-config — both spellings are proven bit-identical by
-``tests/test_engine_config.py``.
+validated at construction (journaling, fairness, SLO lane, engine
+mode, adaptive policy).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Set
+from typing import Optional
 
 from ..backends.airflow import AirflowBackend
 from ..backends.argo import ArgoBackend
@@ -40,51 +36,6 @@ from ..engine.status import WorkflowRecord
 from ..ir.graph import WorkflowIR
 from ..k8s.apiserver import APIServer
 from ..k8s.cluster import Cluster
-
-#: Legacy kwargs that already warned — the bridge warns once per
-#: process per *kwarg*, shared across submitter types (migrating one
-#: spelling means migrating it everywhere, so one nudge suffices).
-_legacy_warned: Set[str] = set()
-
-
-def _warn_legacy(owner: str, kwarg: str, replacement: str) -> None:
-    if kwarg in _legacy_warned:
-        return
-    _legacy_warned.add(kwarg)
-    warnings.warn(
-        f"{owner}({kwarg}=...) is deprecated and will be removed in v2; "
-        f"pass config=EngineConfig({replacement}) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _bridge_legacy(
-    owner: str, config: Optional[EngineConfig], **legacy: object
-) -> EngineConfig:
-    """Resolve legacy kwargs and ``config=`` into one EngineConfig.
-
-    Legacy kwargs use ``None`` as the *unset* sentinel; any explicitly
-    passed one warns (once per process) and folds into the config.
-    Mixing an explicit ``config=`` with legacy kwargs is rejected —
-    silently merging them would hide which spelling won.
-    """
-    passed = {kwarg: value for kwarg, value in legacy.items() if value is not None}
-    if passed and config is not None:
-        # Reject *before* warning: a rejected mixed call must not
-        # consume the once-per-process warning budget, or the caller
-        # who later uses the legacy spelling correctly never hears
-        # about the deprecation.
-        raise ValueError(
-            f"{owner}: pass config= or the legacy kwargs "
-            f"({', '.join(sorted(passed))}), not both"
-        )
-    for kwarg, value in passed.items():
-        _warn_legacy(owner, kwarg, f"{kwarg}={value!r}")
-    if passed:
-        return EngineConfig(**passed)  # type: ignore[arg-type]
-    return config if config is not None else DEFAULT_CONFIG
-
 
 def default_environment(
     num_nodes: int = 8,
@@ -137,10 +88,8 @@ class ArgoSubmitter:
         operator: Optional[WorkflowOperator] = None,
         run_to_completion: bool = True,
         *,
-        config: Optional[EngineConfig] = None,
-        journaled: Optional[bool] = None,
+        config: EngineConfig = DEFAULT_CONFIG,
     ) -> None:
-        config = _bridge_legacy("ArgoSubmitter", config, journaled=journaled)
         #: The validated knob bundle this submitter was built with.
         self.config = config
         if operator is None:
@@ -176,10 +125,8 @@ class LocalSubmitter(ArgoSubmitter):
         self,
         seed: int = 0,
         *,
-        config: Optional[EngineConfig] = None,
-        journaled: Optional[bool] = None,
+        config: EngineConfig = DEFAULT_CONFIG,
     ) -> None:
-        config = _bridge_legacy("LocalSubmitter", config, journaled=journaled)
         super().__init__(
             operator=default_environment(
                 seed=seed,
@@ -193,18 +140,15 @@ class LocalSubmitter(ArgoSubmitter):
 def default_multicluster(
     seed: int = 0,
     *,
-    fairness: str = "strict-priority",
-    tenant_weights: Optional[dict] = None,
-    preemption: bool = False,
     journal: Optional[Journal] = None,
-    config: Optional[EngineConfig] = None,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AdmissionPipeline:
     """A small heterogeneous fleet for admission-pipeline submissions.
 
-    ``config=`` supersedes the individual kwargs (except ``journal``,
-    which carries state, not configuration — callers who want a
-    journaled pipeline from a config pass ``Journal()`` themselves or
-    go through :class:`AdmissionSubmitter`).
+    The pipeline is built from ``config.pipeline_kwargs()``; ``journal``
+    rides separately because it carries state, not configuration —
+    callers who want a journaled pipeline pass ``Journal()`` themselves
+    or go through :class:`AdmissionSubmitter`.
     """
     gb = 2**30
     clusters = [
@@ -214,17 +158,8 @@ def default_multicluster(
         Cluster.uniform("cpu-a", 4, cpu_per_node=16.0, memory_per_node=64 * gb),
         Cluster.uniform("cpu-b", 4, cpu_per_node=16.0, memory_per_node=64 * gb),
     ]
-    if config is not None:
-        return AdmissionPipeline(
-            clusters, seed=seed, journal=journal, **config.pipeline_kwargs()
-        )
     return AdmissionPipeline(
-        clusters,
-        seed=seed,
-        fairness=fairness,
-        tenant_weights=tenant_weights,
-        preemption=preemption,
-        journal=journal,
+        clusters, seed=seed, journal=journal, **config.pipeline_kwargs()
     )
 
 
@@ -247,24 +182,14 @@ class AdmissionSubmitter:
         run_to_completion: bool = True,
         seed: int = 0,
         *,
-        config: Optional[EngineConfig] = None,
-        fairness: Optional[str] = None,
-        slo_class: Optional[str] = None,
-        journaled: Optional[bool] = None,
+        config: EngineConfig = DEFAULT_CONFIG,
     ) -> None:
-        config = _bridge_legacy(
-            "AdmissionSubmitter",
-            config,
-            fairness=fairness,
-            slo_class=slo_class,
-            journaled=journaled,
-        )
         #: The validated knob bundle this submitter was built with.
         self.config = config
         if pipeline is not None and config.fairness is not None:
             raise ValueError(
-                "pass fairness= when the submitter builds its own pipeline, "
-                "or configure it on the pipeline you pass in — not both"
+                "set EngineConfig(fairness=...) when the submitter builds its "
+                "own pipeline, or configure the pipeline you pass in — not both"
             )
         if pipeline is not None and config.journaled and pipeline.journal is None:
             raise ValueError(
@@ -281,7 +206,7 @@ class AdmissionSubmitter:
         self.user = user
         self.priority = priority
         #: SLO lane for every submission through this submitter
-        #: (None = the pipeline's back-compat default lane).
+        #: (None = the pipeline's default lane).
         self.slo_class = config.slo_class
         self.run_to_completion = run_to_completion
         self.last_admission = None

@@ -1,6 +1,6 @@
-"""Stable v1 Couler API facade.
+"""The Couler API: the one import surface for user code.
 
-This module is the supported import surface for user code::
+::
 
     from repro import couler
 
@@ -8,51 +8,46 @@ This module is the supported import surface for user code::
                          args=["hello"], step_name="A")
     record = couler.run(submitter=couler.ArgoSubmitter())
 
-Everything listed in ``__all__`` here is covered by the v1 stability
-contract: names are not removed or re-ordered, optional parameters on
-the ``run_*`` step constructors are keyword-only so new options never
-shift call sites, and any submitter conforming to the
-:class:`~repro.backends.base.Submitter` protocol plugs into
-:func:`run` interchangeably.
+Stability contract (v2): names in ``__all__`` are not removed or
+renamed within a major version; optional parameters of the ``run_*``
+step constructors and of the submitters are keyword-only, so new
+options never shift call sites; and any submitter conforming to the
+:class:`~repro.backends.base.Submitter` protocol plugs into :func:`run`
+interchangeably.  The defining modules live under :mod:`repro.core`,
+which exports nothing itself.
 
-``repro.core`` remains as the historical import path and re-exports
-the same names; new code should import :mod:`repro.couler`.
+The surface, by concern:
 
-The caching surface (Algorithm 2) is part of v1 as of this release:
-:class:`CacheManager` attaches automatic artifact caching to a run,
-:class:`ScoreWeights` tunes the Eq. 6 importance factor, and custom
-admission policies subclass :class:`CachePolicy` and implement
-``decide(decision: CacheDecision)``.
-
-The multi-tenant fairness surface is part of v1 as of this release:
-``AdmissionSubmitter(fairness="drf", slo_class="serving")`` selects a
-cross-tenant ordering policy (``strict-priority`` / ``weighted-fair`` /
-``drf``) and an SLO lane for the submission; both are keyword-only with
-back-compat defaults, so existing call sites behave bit-identically.
-Custom policies subclass :class:`FairnessPolicy` and implement
-``key(...)``; :class:`LaneConfig` describes custom SLO lanes.
-
-The journal-backed engine is part of v1 as of this release, **opt-in
-and default-off**: ``ArgoSubmitter(journaled=True)`` /
-``AdmissionSubmitter(journaled=True)`` record every admission decision
-and step event into a :class:`Journal`, from which a fresh engine
-replica recovers by pure replay (``resume_from_journal``) —
-:class:`ShardedOperatorFleet` is the multi-replica driver.  With
-``journaled`` left off, nothing is journaled and execution is
-bit-identical to previous releases.
-
-The unified engine configuration is part of v1 as of this release:
-every submitter accepts a keyword-only
-``config=``\\ :class:`EngineConfig` bundle that consolidates the
-per-feature kwargs (``journaled=``, ``fairness=``, ``slo_class=``, the
-backpressure and preemption knobs) into one construction-time-validated
-object, introspectable as ``submitter.config``.  The legacy kwargs
-keep working through a once-per-process ``DeprecationWarning`` bridge
-and are scheduled for removal in v2.  ``EngineConfig(engine="naive")``
-selects the straight-line reference hot paths the ``engine_fast``
-verify oracle diffs against; :func:`profile_run` (also
-``python -m repro profile``) measures per-workflow engine cost under
-either mode on a deterministic synthetic fleet.
+* **Workflow definition** (paper Sec. II.B) — the ``run_*`` step
+  constructors, ``when`` / ``map`` / ``concurrent`` / ``exec_while``
+  control flow, explicit ``dag`` / ``set_dependencies``, conditions,
+  artifact constructors and the workflow context.
+* **Submission** — :class:`ArgoSubmitter` / :class:`LocalSubmitter`
+  run on the simulated operator, :class:`AdmissionSubmitter` goes
+  through the multi-cluster admission pipeline
+  (:func:`default_multicluster` builds its default fleet), and
+  :class:`AirflowSubmitter` / :class:`TektonSubmitter` generate
+  engine-native definitions.
+* **Configuration** — every submitter takes one keyword-only
+  ``config=``\\ :class:`EngineConfig`, validated at construction:
+  ``journaled=True`` records admission decisions and step events into
+  a :class:`Journal` that a fresh replica recovers from by pure replay
+  (:class:`ShardedOperatorFleet` drives several);
+  ``fairness=`` / ``slo_class=`` select a cross-tenant ordering policy
+  (``strict-priority`` / ``weighted-fair`` / ``drf``, or a custom
+  :class:`FairnessPolicy`) and an SLO lane (:class:`LaneConfig`);
+  ``engine="naive"`` selects the straight-line reference hot paths the
+  ``engine_fast`` verify oracle diffs against.  Adaptive knobs (Eq. 6
+  weights, split budget, aging, retry budgets) live in
+  :class:`PolicyConfig`, passed as ``EngineConfig(policy=...)`` and
+  tuned by :class:`Controller`.
+* **Caching** (Algorithm 2) — :class:`CacheManager` attaches automatic
+  artifact caching to a run, :class:`ScoreWeights` tunes the Eq. 6
+  importance factor, and custom policies subclass :class:`CachePolicy`
+  and implement ``decide(decision: CacheDecision)``.
+* **Profiling** — :func:`profile_run` (also ``python -m repro
+  profile``) measures per-workflow engine cost on a deterministic
+  synthetic fleet.
 """
 
 from .backends.base import Submitter, submission_record
@@ -175,7 +170,7 @@ __all__ = [
     "AdaptationResult",
     "Controller",
     "PolicyConfig",
-    # journal-backed engine (opt-in via journaled=True)
+    # journal-backed engine (opt-in via EngineConfig(journaled=True))
     "Journal",
     "JournalRecord",
     "ShardedOperatorFleet",

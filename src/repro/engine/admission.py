@@ -1,9 +1,8 @@
-"""Continuous, arrival-driven admission & scheduling (the online path).
+"""Continuous, arrival-driven admission & scheduling (multi-cluster dispatch).
 
-The batch :class:`~repro.engine.dispatcher.MultiClusterDispatcher`
-placed every queued workflow up front and ran the clock to quiescence —
-fine for replaying a fixed fleet, useless for a service where workflows
-*arrive over time*.  This module is the event-driven replacement:
+Workflows *arrive over time* and are placed across clusters as they
+arrive and as capacity frees; a batch is just a set of simultaneous
+arrivals:
 
 * Workflows arrive as clock events (open-loop arrival traces from
   :mod:`repro.workloads.arrivals`, or ad-hoc ``submit()`` calls).
@@ -141,7 +140,6 @@ class AdmissionPipeline:
         clock: Optional[SimClock] = None,
         max_pending: Optional[int] = None,
         aging_rate: float = 0.0,
-        require_capacity: bool = True,
         tracer: Optional[object] = None,
         metrics: Optional[MetricsRegistry] = None,
         fairness: Union[str, FairnessPolicy, None] = "strict-priority",
@@ -207,10 +205,6 @@ class AdmissionPipeline:
         self.max_pending = max_pending
         #: Effective-priority points gained per second of queue wait.
         self.aging_rate = aging_rate
-        #: Gate placement on admission headroom (total capacity minus
-        #: peak reservations).  Off, the operator wait queues absorb the
-        #: overflow — the legacy batch-dispatch behaviour.
-        self.require_capacity = require_capacity
         #: Cross-tenant ordering policy within each lane.
         self.fairness = make_fairness_policy(fairness)
         #: SLO lanes, placed in ``order`` within every pass.
@@ -413,7 +407,7 @@ class AdmissionPipeline:
         ]
         if not feasible:
             return f"no cluster can host its demand {demand}"
-        if self.require_capacity and not any(
+        if not any(
             demand.fits_within(cluster.capacity) for cluster in feasible
         ):
             return f"demand {demand} exceeds every cluster's total capacity"
@@ -607,9 +601,7 @@ class AdmissionPipeline:
             may_park = self.fast and not (lane.can_preempt and self.preemption)
             for pending in candidates:
                 try:
-                    placed = self.queue.try_place(
-                        pending.queued, require_capacity=self.require_capacity
-                    )
+                    placed = self.queue.try_place(pending.queued)
                 except QuotaError as exc:
                     # Feasibility was vetted at arrival, so this is a quota
                     # grant shrinking mid-flight or direct queue misuse —
@@ -816,9 +808,9 @@ class AdmissionPipeline:
     def _on_completion(self, pending: _Pending, record: WorkflowRecord) -> None:
         """A workflow finished: free its charges and re-attempt placement.
 
-        This is the event that replaces the batch dispatcher's retry
-        rounds — every completion releases quota and admission headroom
-        and immediately wakes the placement pass.
+        There are no global retry rounds: every completion releases
+        quota and admission headroom and immediately wakes the
+        placement pass.
         """
         self.queue.release(pending.queued)
         self._wake_parked(pending.queued.user)
@@ -843,30 +835,6 @@ class AdmissionPipeline:
     def run(self, until: Optional[float] = None) -> float:
         """Advance the shared clock until arrivals and work drain."""
         return self.clock.run(until=until)
-
-    def cancel_pending(self) -> List[QueuedWorkflow]:
-        """Remove and return everything still awaiting placement.
-
-        For batch-compat callers: after a drained run, whatever is left
-        can never place until *new* quota appears (its owner's grant is
-        exhausted by nothing currently running), so the batch wrapper
-        surfaces it instead of leaving it parked.
-        """
-        for pending in self._parked_headroom:
-            self._credit_parked(pending)
-        for parked in self._parked_user.values():
-            for pending in parked:
-                self._credit_parked(pending)
-        stuck = [pending.queued for pending in self._all_pending()]
-        self._pending = []
-        self._parked_user.clear()
-        self._parked_headroom = []
-        self._wake_headroom = False
-        self._wake_users.clear()
-        self._pending_total = 0
-        self._lane_counts = {name: 0 for name in self.lanes}
-        self._set_depth_gauges()
-        return stuck
 
     # ------------------------------------------------------------- inspection
 

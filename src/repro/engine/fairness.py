@@ -173,8 +173,7 @@ class FairnessPolicy:
 class StrictPriorityPolicy(FairnessPolicy):
     """The seed ordering: aged priority, arrival sequence tie-break.
 
-    No cross-tenant correction — kept as the back-compat default and as
-    the batch dispatcher's contractual ordering.
+    No cross-tenant correction — the pipeline's default ordering.
     """
 
     name = "strict-priority"

@@ -190,9 +190,9 @@ class MultiClusterQueue:
     def _clamped_fraction(free: float, capacity: float) -> float:
         """Free-capacity fraction, clamped to [0, 1].
 
-        An over-reserved cluster (``require_capacity=False`` lets the
-        operator wait queues absorb overflow) has negative free
-        capacity; un-clamped it produced *negative* fractions whose
+        An over-reserved cluster (:meth:`dequeue` places without the
+        headroom gate, so operator wait queues absorb overflow) has
+        negative free capacity; un-clamped it produced *negative* fractions whose
         magnitude grew with how overcommitted the cluster was, skewing
         the weighted score instead of simply reading "full".
         """
@@ -254,7 +254,7 @@ class MultiClusterQueue:
         return headroom
 
     def try_place(
-        self, item: QueuedWorkflow, require_capacity: bool = False
+        self, item: QueuedWorkflow, require_capacity: bool = True
     ) -> Union[DeferredDequeue, Tuple[QueuedWorkflow, Cluster]]:
         """Quota-charge ``item`` and pick its cluster, without the heap.
 
@@ -263,8 +263,9 @@ class MultiClusterQueue:
         (e.g. with priority aging) and still share this queue's quota
         accounting, reservations and scoring.  Returns a
         :class:`DeferredDequeue` when the user's quota cannot absorb the
-        item's peak demand right now, or — with ``require_capacity`` —
-        when no feasible cluster has admission headroom for it.  Raises
+        item's peak demand right now, or — with ``require_capacity``,
+        the default — when no feasible cluster has admission headroom
+        for it.  Raises
         :class:`QuotaError` for permanent infeasibility (a GPU workflow
         with no GPU cluster attached).  On success the quota is charged
         and the chosen cluster's reservation recorded; call
@@ -325,7 +326,7 @@ class MultiClusterQueue:
         # raised.
         probe = self._heap[0][2]
         try:
-            placed = self.try_place(probe)
+            placed = self.try_place(probe, require_capacity=False)
         except QuotaError:
             # Permanent infeasibility (e.g. a GPU workflow with no GPU
             # cluster attached): surface it, but re-enqueue the item so

@@ -208,8 +208,9 @@ class WorkflowIR:
     def max_parallel_width(self) -> int:
         """Largest antichain by level (how many nodes share a depth)."""
         depth: Dict[str, int] = {}
+        parents = self.parents_map()
         for node in self.topological_order():
-            parent_depths = [depth[p] for p in self.parents(node)]
+            parent_depths = [depth[p] for p in parents[node]]
             depth[node] = (max(parent_depths) + 1) if parent_depths else 0
         if not depth:
             return 0
@@ -221,8 +222,9 @@ class WorkflowIR:
     def critical_path_seconds(self) -> float:
         """Longest duration-weighted path (Eq. 1's T with infinite nodes)."""
         finish: Dict[str, float] = {}
+        parents = self.parents_map()
         for node_name in self.topological_order():
             node = self.nodes[node_name]
-            start = max((finish[p] for p in self.parents(node_name)), default=0.0)
+            start = max((finish[p] for p in parents[node_name]), default=0.0)
             finish[node_name] = start + node.sim.duration_s
         return max(finish.values(), default=0.0)

@@ -24,7 +24,7 @@ def execute_couler_code(code: str, workflow_name: str = "generated") -> Workflow
     ``couler`` module.  The caller's own context is restored afterwards
     so evaluation loops cannot leak state between samples.
     """
-    from .. import core as couler
+    from .. import couler
 
     couler.reset_context(workflow_name)
     namespace = {"couler": couler}

@@ -16,6 +16,7 @@ always acyclic and the runtime stays O(|V| + |E|).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
@@ -49,20 +50,23 @@ class SplitPlan:
         return sorted({src for src, dst in self.cross_edges if dst == index})
 
     def topological_part_order(self) -> List[int]:
+        """Kahn's algorithm over the part graph, always taking the
+        smallest ready part index; O((parts + cross edges) log parts)."""
+        successors: Dict[int, List[int]] = {i: [] for i in range(self.num_parts)}
         indegree = {i: 0 for i in range(self.num_parts)}
-        for _, dst in self.cross_edges:
+        for src, dst in self.cross_edges:
+            successors[src].append(dst)
             indegree[dst] += 1
-        ready = sorted(i for i, d in indegree.items() if d == 0)
+        ready = [i for i, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
         order: List[int] = []
         while ready:
-            part = ready.pop(0)
+            part = heapq.heappop(ready)
             order.append(part)
-            for src, dst in sorted(self.cross_edges):
-                if src == part:
-                    indegree[dst] -= 1
-                    if indegree[dst] == 0 and dst not in order and dst not in ready:
-                        ready.append(dst)
-            ready.sort()
+            for dst in successors[part]:
+                indegree[dst] -= 1
+                if indegree[dst] == 0:
+                    heapq.heappush(ready, dst)
         if len(order) != self.num_parts:
             raise SplitError("cyclic dependencies between split parts")
         return order

@@ -58,12 +58,11 @@ class StagedSubmitter:
         result = StagedResult(plan=plan, records=[None] * plan.num_parts)
         result.submit_time = self.operator.clock.now
 
-        remaining_deps: Dict[int, int] = {
-            i: len(plan.part_dependencies(i)) for i in range(plan.num_parts)
-        }
+        remaining_deps: Dict[int, int] = {i: 0 for i in range(plan.num_parts)}
         dependents: Dict[int, List[int]] = {i: [] for i in range(plan.num_parts)}
         for src, dst in plan.cross_edges:
             dependents[src].append(dst)
+            remaining_deps[dst] += 1
         failed = {"flag": False}
         #: Step results accumulated across completed parts.  A ``when``
         #: guard may reference a step that landed in an upstream part;

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .. import core as couler
+from ..core import api as couler
 from ..ir.graph import WorkflowIR
 from ..ir.nodes import ArtifactDecl, ArtifactStorage, SimHint
 from ..k8s.resources import ResourceQuantity

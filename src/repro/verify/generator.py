@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .. import core as couler
+from ..core import api as couler
 from ..ir.graph import WorkflowIR
 from ..ir.nodes import ArtifactDecl, ArtifactStorage, SimHint
 from ..k8s.resources import ResourceQuantity

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import core as couler
+from repro import couler
 from repro.engine.operator import WorkflowOperator
 from repro.engine.simclock import SimClock
 from repro.k8s.cluster import Cluster

@@ -5,7 +5,7 @@ import ast
 import pytest
 import yaml
 
-from repro import core as couler
+from repro import couler
 from repro.backends import (
     AirflowBackend,
     ArgoBackend,

@@ -1,7 +1,5 @@
 """Incremental scorer, CacheDecision policy API, and heap eviction tests."""
 
-import warnings
-
 import pytest
 
 from repro.caching.artifact_store import ArtifactStore
@@ -310,36 +308,6 @@ class TestCacheDecisionAPI:
         assert manager.contains("a")
         assert len(seen) == 1 and seen[0].now == 3.0
         assert seen[0].metrics is manager.metrics
-
-    def test_legacy_admit_policy_bridged_with_one_warning(self):
-        class OldStyle(CachePolicy):
-            name = "old"
-
-            def admit(self, artifact, store, scorer, now=0.0):
-                store.put(artifact.uid, artifact.size_bytes, artifact.kind, now)
-                return True
-
-        CachePolicy._legacy_warned.discard(OldStyle)
-        store = ArtifactStore(capacity_bytes=100)
-        policy = OldStyle()
-        with pytest.warns(DeprecationWarning, match="legacy positional"):
-            assert policy.decide(
-                CacheDecision(artifact=_artifact("a"), store=store)
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second call must not warn
-            assert policy.decide(
-                CacheDecision(artifact=_artifact("b"), store=store)
-            )
-        assert store.contains("a") and store.contains("b")
-
-    def test_new_style_policy_callable_through_legacy_admit(self):
-        scorer = ArtifactScorer(index=WorkflowGraphIndex())
-        store = ArtifactStore(capacity_bytes=100)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert CoulerCachePolicy().admit(_artifact("a"), store, scorer, 0.0)
-        assert store.contains("a")
 
     def test_abstract_base_rejects_unimplemented(self):
         with pytest.raises(NotImplementedError):

@@ -1,16 +1,11 @@
 """Unit tests for cache policies, including Algorithm 2's mechanics."""
 
-import inspect
-import warnings
-
 import pytest
 
 from repro.caching.artifact_store import ArtifactStore
-from repro.caching.manager import CacheManager
 from repro.caching.policy import (
     CacheAllPolicy,
     CacheDecision,
-    CachePolicy,
     CoulerCachePolicy,
     FIFOCachePolicy,
     LRUCachePolicy,
@@ -19,8 +14,6 @@ from repro.caching.policy import (
 )
 from repro.caching.score import ArtifactScorer, WorkflowGraphIndex
 from repro.engine.spec import ArtifactSpec, ExecutableStep, ExecutableWorkflow
-
-GB = 2**30
 
 
 def _artifact(uid: str, size: int = 10) -> ArtifactSpec:
@@ -61,15 +54,15 @@ class TestRegistry:
 class TestNoAndAll:
     def test_no_policy_never_caches(self):
         store = ArtifactStore(capacity_bytes=100)
-        assert not NoCachePolicy().admit(_artifact("a"), store, None, 0.0)
+        assert not NoCachePolicy().decide(CacheDecision(_artifact("a"), store))
         assert len(store) == 0
 
     def test_all_policy_caches_until_full_without_eviction(self):
         store = ArtifactStore(capacity_bytes=25)
         policy = CacheAllPolicy()
-        assert policy.admit(_artifact("a"), store, None, 0.0)
-        assert policy.admit(_artifact("b"), store, None, 0.0)
-        assert not policy.admit(_artifact("c"), store, None, 0.0)
+        assert policy.decide(CacheDecision(_artifact("a"), store, None, 0.0))
+        assert policy.decide(CacheDecision(_artifact("b"), store, None, 0.0))
+        assert not policy.decide(CacheDecision(_artifact("c"), store, None, 0.0))
         assert store.stats.evictions == 0
 
 
@@ -77,19 +70,19 @@ class TestFifoLru:
     def test_fifo_evicts_oldest(self):
         store = ArtifactStore(capacity_bytes=20)
         policy = FIFOCachePolicy()
-        policy.admit(_artifact("old"), store, None, 0.0)
-        policy.admit(_artifact("mid"), store, None, 1.0)
-        policy.admit(_artifact("new"), store, None, 2.0)
+        policy.decide(CacheDecision(_artifact("old"), store, None, 0.0))
+        policy.decide(CacheDecision(_artifact("mid"), store, None, 1.0))
+        policy.decide(CacheDecision(_artifact("new"), store, None, 2.0))
         assert not store.contains("old")
         assert store.contains("mid") and store.contains("new")
 
     def test_lru_evicts_least_recently_used(self):
         store = ArtifactStore(capacity_bytes=20)
         policy = LRUCachePolicy()
-        policy.admit(_artifact("a"), store, None, 0.0)
-        policy.admit(_artifact("b"), store, None, 1.0)
+        policy.decide(CacheDecision(_artifact("a"), store, None, 0.0))
+        policy.decide(CacheDecision(_artifact("b"), store, None, 1.0))
         store.record_hit("a", now=5.0)  # refresh a
-        policy.admit(_artifact("c"), store, None, 6.0)
+        policy.decide(CacheDecision(_artifact("c"), store, None, 6.0))
         assert store.contains("a")
         assert not store.contains("b")
 
@@ -97,22 +90,25 @@ class TestFifoLru:
 class TestCoulerPolicy:
     def test_requires_scorer(self):
         with pytest.raises(ValueError):
-            CoulerCachePolicy().admit(_artifact("a"), ArtifactStore(100), None, 0.0)
+            CoulerCachePolicy().decide(
+                CacheDecision(_artifact("a"), ArtifactStore(100))
+            )
 
     def test_admits_while_space_remains(self):
         scorer = _scorer_with({"a": 1})
         store = ArtifactStore(capacity_bytes=100)
-        assert CoulerCachePolicy().admit(_artifact("a"), store, scorer, 0.0)
+        decision = CacheDecision(_artifact("a"), store, scorer, 0.0)
+        assert CoulerCachePolicy().decide(decision)
 
     def test_evicts_lower_scored_artifact_under_pressure(self):
         # "hot" has 5 future readers, "cold" has none.
         scorer = _scorer_with({"hot": 5, "cold": 0, "warm": 2})
         store = ArtifactStore(capacity_bytes=20)
         policy = CoulerCachePolicy()
-        policy.admit(_artifact("hot"), store, scorer, 0.0)
-        policy.admit(_artifact("cold"), store, scorer, 1.0)
+        policy.decide(CacheDecision(_artifact("hot"), store, scorer, 0.0))
+        policy.decide(CacheDecision(_artifact("cold"), store, scorer, 1.0))
         # warm beats cold, so cold is evicted to make room.
-        assert policy.admit(_artifact("warm"), store, scorer, 2.0)
+        assert policy.decide(CacheDecision(_artifact("warm"), store, scorer, 2.0))
         assert store.contains("hot") and store.contains("warm")
         assert not store.contains("cold")
 
@@ -120,87 +116,23 @@ class TestCoulerPolicy:
         scorer = _scorer_with({"hot": 5, "warm": 3, "cold": 0})
         store = ArtifactStore(capacity_bytes=20)
         policy = CoulerCachePolicy()
-        policy.admit(_artifact("hot"), store, scorer, 0.0)
-        policy.admit(_artifact("warm"), store, scorer, 1.0)
-        assert not policy.admit(_artifact("cold"), store, scorer, 2.0)
+        policy.decide(CacheDecision(_artifact("hot"), store, scorer, 0.0))
+        policy.decide(CacheDecision(_artifact("warm"), store, scorer, 1.0))
+        assert not policy.decide(CacheDecision(_artifact("cold"), store, scorer, 2.0))
         assert store.stats.rejected == 1
         assert store.contains("hot") and store.contains("warm")
 
     def test_oversized_artifact_rejected(self):
         scorer = _scorer_with({"big": 9})
         store = ArtifactStore(capacity_bytes=20)
-        assert not CoulerCachePolicy().admit(
-            _artifact("big", size=50), store, scorer, 0.0
+        assert not CoulerCachePolicy().decide(
+            CacheDecision(_artifact("big", size=50), store, scorer, 0.0)
         )
 
     def test_idempotent_on_already_cached(self):
         scorer = _scorer_with({"a": 1})
         store = ArtifactStore(capacity_bytes=100)
         policy = CoulerCachePolicy()
-        policy.admit(_artifact("a"), store, scorer, 0.0)
-        assert policy.admit(_artifact("a"), store, scorer, 1.0)
+        policy.decide(CacheDecision(_artifact("a"), store, scorer, 0.0))
+        assert policy.decide(CacheDecision(_artifact("a"), store, scorer, 1.0))
         assert len(store) == 1
-
-
-class _LegacyOnlyPolicy(CachePolicy):
-    """Old-style subclass: overrides positional admit(), not decide()."""
-
-    name = "legacy-test"
-
-    def admit(self, artifact, store, scorer=None, now=0.0):
-        return False
-
-
-class TestLegacyAdmitBridge:
-    """The legacy-``admit`` DeprecationWarning must point at the caller.
-
-    The warning fires deep inside ``CachePolicy.decide``, but the frame
-    it names must be *user* code — even when the policy is driven
-    through several layers of :class:`CacheManager` internals
-    (``fetch`` → ``_decide`` → ``on_external_read`` → ``decide``).
-    These tests pin the reported filename (and line) to this file.
-    """
-
-    def test_warning_points_at_manager_caller(self):
-        CachePolicy._legacy_warned.discard(_LegacyOnlyPolicy)
-        manager = CacheManager(policy=_LegacyOnlyPolicy(), capacity_bytes=GB)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            expected_line = inspect.currentframe().f_lineno + 1
-            manager.fetch(_artifact("x"), now=0.0)
-        legacy = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(legacy) == 1
-        assert "_LegacyOnlyPolicy" in str(legacy[0].message)
-        assert legacy[0].filename == __file__, (
-            f"warning attributed to {legacy[0].filename}, not the caller"
-        )
-        assert legacy[0].lineno == expected_line
-
-    def test_warning_points_at_direct_caller(self):
-        CachePolicy._legacy_warned.discard(_LegacyOnlyPolicy)
-        store = ArtifactStore(capacity_bytes=GB)
-        decision = CacheDecision(artifact=_artifact("y"), store=store)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            expected_line = inspect.currentframe().f_lineno + 1
-            _LegacyOnlyPolicy().decide(decision)
-        legacy = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(legacy) == 1
-        assert legacy[0].filename == __file__
-        assert legacy[0].lineno == expected_line
-
-    def test_warns_once_per_policy_class(self):
-        CachePolicy._legacy_warned.discard(_LegacyOnlyPolicy)
-        manager = CacheManager(policy=_LegacyOnlyPolicy(), capacity_bytes=GB)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            manager.fetch(_artifact("x"), now=0.0)
-            manager.fetch(_artifact("z"), now=1.0)
-        legacy = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(legacy) == 1

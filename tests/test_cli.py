@@ -17,7 +17,7 @@ class TestVersion:
         assert main(["version"]) == 0
         out = capsys.readouterr().out
         assert "Couler" in out
-        assert "1.0.0" in out
+        assert "2.0.0" in out
 
 
 class TestRun:

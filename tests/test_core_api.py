@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import core as couler
+from repro import couler
 from repro.ir.nodes import OpKind
 
 

@@ -1,6 +1,6 @@
 """Tests for the workflow-building context itself."""
 
-from repro import core as couler
+from repro import couler
 from repro.core.context import WorkflowContext, get_context, reset_context, workflow
 
 

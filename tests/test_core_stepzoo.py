@@ -1,6 +1,6 @@
 """Unit tests for the step zoo (TensorFlow / XGBoost / LightGBM / PyTorch)."""
 
-from repro import core as couler
+from repro import couler
 from repro.core.step_zoo import Dataset, lightgbm, pytorch, tensorflow, xgboost
 from repro.ir.nodes import OpKind
 

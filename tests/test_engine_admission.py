@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine.admission import AdmissionError, AdmissionPipeline
-from repro.engine.dispatcher import MultiClusterDispatcher
 from repro.engine.queue import UserQuota
 from repro.engine.spec import ExecutableStep, ExecutableWorkflow
 from repro.engine.status import WorkflowPhase
@@ -219,7 +218,8 @@ class TestObservability:
 
 
 class TestDispatcherCompat:
-    """``dispatch_all()`` keeps the legacy batch semantics on the new path."""
+    """Batch semantics on the pipeline: a batch is a set of simultaneous
+    arrivals, placed in priority order, reproducibly, with records."""
 
     def _clusters(self):
         return [
@@ -229,37 +229,37 @@ class TestDispatcherCompat:
         ]
 
     def test_batch_equivalence_priority_order_and_completion(self):
-        dispatcher = MultiClusterDispatcher(clusters=self._clusters())
+        pipeline = AdmissionPipeline(self._clusters())
         expected = []
         for index in range(9):
             priority = (index * 7) % 5
-            dispatcher.enqueue(_wf(f"wf{index}"), priority=priority)
+            pipeline.submit(_wf(f"wf{index}"), priority=priority)
             expected.append((f"wf{index}", priority))
-        results = dispatcher.dispatch_all()
-        # Legacy contract: results come back in strict priority order
-        # (ties by enqueue order), every workflow completes, and GPU-free
-        # work never lands on the GPU cluster's scarce capacity alone.
+        pipeline.run()
+        # Same-instant arrivals place in one pass in strict priority
+        # order (ties by arrival order), and every workflow completes.
         expected.sort(key=lambda pair: -pair[1])
-        assert [r.workflow_name for r in results] == [name for name, _ in expected]
-        assert all(r.record.phase == WorkflowPhase.SUCCEEDED for r in results)
+        placed = pipeline.placed
+        assert [a.workflow_name for a in placed] == [name for name, _ in expected]
+        assert all(a.record.phase == WorkflowPhase.SUCCEEDED for a in placed)
 
     def test_batch_runs_are_reproducible(self):
         def run_once():
-            dispatcher = MultiClusterDispatcher(clusters=self._clusters(), seed=3)
+            pipeline = AdmissionPipeline(self._clusters(), seed=3)
             for index in range(8):
-                dispatcher.enqueue(_wf(f"wf{index}", cpu=16.0), priority=index % 4)
+                pipeline.submit(_wf(f"wf{index}", cpu=16.0), priority=index % 4)
+            pipeline.run()
             return [
-                (r.workflow_name, r.cluster_name, r.record.finish_time)
-                for r in dispatcher.dispatch_all()
+                (a.workflow_name, a.cluster_name, a.record.finish_time)
+                for a in pipeline.placed
             ]
 
         assert run_once() == run_once()
 
     def test_admission_records_exposed(self):
-        dispatcher = MultiClusterDispatcher(clusters=self._clusters())
-        dispatcher.enqueue(_wf("only"))
-        dispatcher.dispatch_all()
-        records = dispatcher.admission_records()
-        assert len(records) == 1
-        assert records[0].workflow_name == "only"
-        assert records[0].queue_latency == 0.0
+        pipeline = AdmissionPipeline(self._clusters())
+        pipeline.submit(_wf("only"))
+        pipeline.run()
+        assert len(pipeline.records) == 1
+        assert pipeline.records[0].workflow_name == "only"
+        assert pipeline.records[0].queue_latency == 0.0

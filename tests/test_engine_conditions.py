@@ -7,7 +7,7 @@ coin flip and Code 5's recursion.
 """
 
 
-from repro import core as couler
+from repro import couler
 from repro.core.submitter import ArgoSubmitter, default_environment
 from repro.engine.operator import WorkflowOperator, _compare
 from repro.engine.simclock import SimClock

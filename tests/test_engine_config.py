@@ -1,26 +1,24 @@
-"""EngineConfig v1 contract: one validated bundle, two equivalent spellings.
+"""EngineConfig contract: one validated bundle, one way to configure.
 
 Covers the unified-configuration surface:
 
 * construction-time validation raises ``SpecError`` naming the field,
-* the legacy kwargs (``journaled=``, ``fairness=``, ``slo_class=``) and
-  the ``config=`` spelling are **bit-identical** — same admission logs,
-  same journal streams, same full fingerprints — across fuzzer seeds,
-* mixing ``config=`` with legacy kwargs is rejected,
-* the deprecation bridge warns exactly once per process per kwarg,
-* every shipped submitter conforms to the widened ``Submitter``
-  protocol (``config`` member included) and is introspectable.
+* a submitter that builds its own environment from ``config=`` and one
+  handed a caller-built environment from the same config are
+  **bit-identical** — same admission logs, same journal streams, same
+  full fingerprints — across fuzzer seeds,
+* the removed per-feature kwargs (``journaled=``, ``fairness=``,
+  ``slo_class=``, ``EngineConfig(aging_rate=)``) are rejected outright,
+* every shipped submitter conforms to the ``Submitter`` protocol
+  (``config`` member included) and is introspectable.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
 from repro import couler
 from repro.backends.base import Submitter
-from repro.core import submitter as submitter_module
 from repro.control.policy import PolicyConfig
 from repro.core.submitter import (
     AdmissionSubmitter,
@@ -28,19 +26,17 @@ from repro.core.submitter import (
     ArgoSubmitter,
     LocalSubmitter,
     TektonSubmitter,
+    default_environment,
+    default_multicluster,
 )
-from repro.engine import config as config_module
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
+from repro.engine.journal import Journal
 from repro.engine.spec import SpecError
 from repro.verify.fingerprint import fingerprint_record
 from repro.verify.generator import GeneratorConfig, generate_ir
 
 SEEDS = list(range(10))
 DETERMINISTIC = GeneratorConfig(deterministic=True)
-
-
-def _clear_warned():
-    submitter_module._legacy_warned.clear()
 
 
 # ------------------------------------------------------------- validation
@@ -65,7 +61,7 @@ class TestValidation:
             ({"protect_gpu": True}, "protect_gpu"),
             ({"tenant_weights": {"t0": 0.0}}, "tenant_weights"),
             ({"max_pending": 0}, "max_pending"),
-            ({"aging_rate": -0.5}, "aging_rate"),
+            ({"policy": "defaults"}, "policy"),
             ({"preemption": True, "max_preemptions": -1}, "max_preemptions"),
             ({"preemption": True, "preempt_cooldown": -1.0}, "preempt_cooldown"),
             ({"max_preemptions": 9}, "preemption"),
@@ -88,9 +84,9 @@ class TestValidation:
 
     def test_describe_lists_only_non_defaults(self):
         assert EngineConfig().describe() == "EngineConfig()"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            text = EngineConfig(engine="naive", aging_rate=0.5).describe()
+        text = EngineConfig(
+            engine="naive", policy=PolicyConfig(aging_rate=0.5)
+        ).describe()
         assert "engine='naive'" in text and "aging_rate=0.5" in text
         assert "journaled" not in text
 
@@ -124,17 +120,13 @@ def _admission_tuple(admission):
 
 
 def _run_argo(ir, seed, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        sub = ArgoSubmitter(**kwargs)
+    sub = ArgoSubmitter(**kwargs)
     record = sub.submit(ir)
     return fingerprint_record(ir, record).data, _journal_tuples(sub.journal)
 
 
 def _run_admission(ir, seed, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        sub = AdmissionSubmitter(seed=seed, **kwargs)
+    sub = AdmissionSubmitter(seed=seed, **kwargs)
     record = sub.submit(ir)
     return (
         fingerprint_record(ir, record).data,
@@ -144,33 +136,44 @@ def _run_admission(ir, seed, **kwargs):
 
 
 class TestSpellingEquivalence:
+    """Submitter-built and caller-injected environments agree."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_argo_journaled_spellings_identical(self, seed):
         ir = generate_ir(seed, DETERMINISTIC)
-        legacy = _run_argo(ir, seed, journaled=True)
-        unified = _run_argo(ir, seed, config=EngineConfig(journaled=True))
-        assert legacy == unified
-        assert legacy[1], "journaled run produced no journal records"
+        config = EngineConfig(journaled=True)
+        built = _run_argo(ir, seed, config=config)
+        injected = _run_argo(
+            ir,
+            seed,
+            operator=default_environment(journal=Journal()),
+            config=config,
+        )
+        assert built == injected
+        assert built[1], "journaled run produced no journal records"
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_admission_spellings_identical(self, seed):
         ir = generate_ir(seed, DETERMINISTIC)
-        legacy = _run_admission(
-            ir,
-            seed,
-            fairness="weighted-fair",
-            slo_class="serving",
-            journaled=True,
-        )
-        unified = _run_admission(
+        built = _run_admission(
             ir,
             seed,
             config=EngineConfig(
                 fairness="weighted-fair", slo_class="serving", journaled=True
             ),
         )
-        assert legacy == unified
-        assert legacy[1], "journaled run produced no journal records"
+        injected = _run_admission(
+            ir,
+            seed,
+            pipeline=default_multicluster(
+                seed,
+                journal=Journal(),
+                config=EngineConfig(fairness="weighted-fair"),
+            ),
+            config=EngineConfig(slo_class="serving", journaled=True),
+        )
+        assert built == injected
+        assert built[1], "journaled run produced no journal records"
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_naive_engine_matches_fast_engine(self, seed):
@@ -185,39 +188,6 @@ class TestSpellingEquivalence:
         sub = AdmissionSubmitter(config=EngineConfig(engine="naive"))
         assert sub.pipeline.fast is False
         assert AdmissionSubmitter().pipeline.fast is True
-
-
-# ------------------------------------------------------- deprecation bridge
-
-
-class TestDeprecationBridge:
-    def test_legacy_kwarg_warns_once_per_process(self):
-        _clear_warned()
-        with pytest.warns(DeprecationWarning, match="journaled"):
-            ArgoSubmitter(journaled=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ArgoSubmitter(journaled=True)  # second use: silent
-
-    def test_each_kwarg_warns_independently(self):
-        _clear_warned()
-        with pytest.warns(DeprecationWarning, match="fairness"):
-            AdmissionSubmitter(fairness="drf")
-        with pytest.warns(DeprecationWarning, match="slo_class"):
-            AdmissionSubmitter(slo_class="serving")
-
-    def test_warning_names_replacement(self):
-        _clear_warned()
-        with pytest.warns(DeprecationWarning, match=r"config=EngineConfig"):
-            LocalSubmitter(journaled=True)
-
-    def test_mixing_config_and_legacy_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            ArgoSubmitter(config=EngineConfig(), journaled=True)
-        with pytest.raises(ValueError, match="not both"):
-            AdmissionSubmitter(
-                config=EngineConfig(), fairness="drf"
-            )
 
 
 # -------------------------------------------------- protocol conformance
@@ -248,7 +218,7 @@ class TestProtocolConformance:
 
 # --------------------------------------------- pairwise mixing rejection
 
-#: Every legacy kwarg AdmissionSubmitter still bridges, with a value.
+#: The per-feature kwargs the v1 submitters accepted, with a value.
 LEGACY_KWARGS = [
     ("journaled", True),
     ("fairness", "weighted-fair"),
@@ -257,14 +227,15 @@ LEGACY_KWARGS = [
 
 
 class TestPairwiseMixingRejection:
-    """``config=`` + *any* combination of legacy kwargs is rejected —
-    and a rejected call must not consume the once-per-process warning
-    budget (the caller never actually used the legacy spelling)."""
+    """The per-feature kwargs are gone: any of them, alone or mixed with
+    ``config=``, is a ``TypeError`` rather than silently ignored."""
 
     @pytest.mark.parametrize(("kwarg", "value"), LEGACY_KWARGS)
     def test_each_single_legacy_kwarg_with_config(self, kwarg, value):
-        with pytest.raises(ValueError, match=f"not both.*|{kwarg}"):
+        with pytest.raises(TypeError, match=kwarg):
             AdmissionSubmitter(config=EngineConfig(), **{kwarg: value})
+        with pytest.raises(TypeError, match=kwarg):
+            AdmissionSubmitter(**{kwarg: value})
 
     @pytest.mark.parametrize(
         ("first", "second"),
@@ -276,42 +247,20 @@ class TestPairwiseMixingRejection:
     )
     def test_each_legacy_pair_with_config(self, first, second):
         kwargs = {first[0]: first[1], second[0]: second[1]}
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(TypeError, match=first[0]):
             AdmissionSubmitter(config=EngineConfig(), **kwargs)
-        # The message names every offending kwarg, sorted.
-        assert first[0] in str(excinfo.value)
-        assert second[0] in str(excinfo.value)
 
     def test_all_three_with_config(self):
-        with pytest.raises(ValueError, match="not both"):
+        for factory in (ArgoSubmitter, LocalSubmitter):
+            with pytest.raises(TypeError, match="journaled"):
+                factory(config=EngineConfig(), journaled=True)
+        with pytest.raises(TypeError):
             AdmissionSubmitter(
                 config=EngineConfig(),
                 journaled=True,
                 fairness="drf",
                 slo_class="batch",
             )
-
-    @pytest.mark.parametrize(("kwarg", "value"), LEGACY_KWARGS)
-    def test_rejected_mix_preserves_warning_budget(self, kwarg, value):
-        _clear_warned()
-        with warnings.catch_warnings():
-            # A rejected mixed call must stay silent ...
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(ValueError):
-                AdmissionSubmitter(config=EngineConfig(), **{kwarg: value})
-        # ... so the first real legacy use still hears the deprecation.
-        with pytest.warns(DeprecationWarning, match=kwarg):
-            AdmissionSubmitter(**{kwarg: value})
-
-    def test_warn_once_shared_across_submitter_types(self):
-        _clear_warned()
-        with pytest.warns(DeprecationWarning, match="journaled"):
-            ArgoSubmitter(journaled=True)
-        with warnings.catch_warnings():
-            # The budget is per process+kwarg, not per submitter class.
-            warnings.simplefilter("error", DeprecationWarning)
-            LocalSubmitter(journaled=True)
-            AdmissionSubmitter(journaled=True)
 
 
 # ------------------------------------------------ adaptive policy field
@@ -323,29 +272,18 @@ class TestPolicyField:
             EngineConfig(policy="defaults")
 
     def test_policy_plus_legacy_aging_rejected(self):
-        with pytest.raises(SpecError, match="not both"):
+        # The aging knob lives on PolicyConfig only.
+        with pytest.raises(TypeError, match="aging_rate"):
             EngineConfig(policy=PolicyConfig(aging_rate=0.01), aging_rate=0.01)
 
-    def test_legacy_aging_rate_warns_once_per_process(self):
-        config_module._legacy_warned.discard("EngineConfig.aging_rate")
-        with pytest.warns(DeprecationWarning, match="PolicyConfig"):
-            EngineConfig(aging_rate=0.01)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            EngineConfig(aging_rate=0.01)  # second use: silent
-
     def test_effective_aging_rate_resolution(self):
-        assert EngineConfig().effective_aging_rate == 0.0
+        assert EngineConfig().pipeline_kwargs()["aging_rate"] == 0.0
         assert (
-            EngineConfig(policy=PolicyConfig(aging_rate=0.05)).effective_aging_rate
+            EngineConfig(policy=PolicyConfig(aging_rate=0.05)).pipeline_kwargs()[
+                "aging_rate"
+            ]
             == 0.05
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = EngineConfig(aging_rate=0.02)
-        assert legacy.effective_aging_rate == 0.02
-        assert legacy.effective_policy() == PolicyConfig(aging_rate=0.02)
-        assert EngineConfig().effective_policy() == PolicyConfig()
 
     def test_default_policy_pipeline_kwargs_identical(self):
         assert (

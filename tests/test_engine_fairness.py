@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.admission import AdmissionPipeline
+from repro.engine.config import EngineConfig
 from repro.engine.fairness import (
     DEFAULT_SLO_CLASS,
     SLO_BATCH,
@@ -525,7 +526,9 @@ class TestFacade:
 
         ir = WorkflowIR(name="probe")
         ir.add_node(IRNode(name="only", op=OpKind.CONTAINER, image="img"))
-        submitter = AdmissionSubmitter(fairness="drf", slo_class="serving")
+        submitter = AdmissionSubmitter(
+            config=EngineConfig(fairness="drf", slo_class="serving")
+        )
         record = submitter.submit(ir)
         assert record.phase == WorkflowPhase.SUCCEEDED
         assert submitter.last_admission.slo_class == "serving"
@@ -535,4 +538,7 @@ class TestFacade:
         from repro.core.submitter import AdmissionSubmitter, default_multicluster
 
         with pytest.raises(ValueError, match="not both"):
-            AdmissionSubmitter(pipeline=default_multicluster(), fairness="drf")
+            AdmissionSubmitter(
+                pipeline=default_multicluster(),
+                config=EngineConfig(fairness="drf"),
+            )

@@ -185,7 +185,7 @@ class TestScoreClamping:
 
     def test_overcommitted_cluster_scores_as_full_not_negative(self):
         """Regression: with reservations beyond capacity (the
-        ``require_capacity=False`` batch path overcommits), the free
+        headroom-free ``dequeue()`` path overcommits), the free
         fraction must clamp to 0 rather than skew the score with an
         unbounded negative term."""
         clusters = _clusters()

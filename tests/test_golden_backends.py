@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from repro import core as couler
+from repro import couler
 from repro.backends.airflow import AirflowBackend
 from repro.backends.argo import ArgoBackend
 from repro.backends.tekton import TektonBackend

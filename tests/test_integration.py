@@ -6,7 +6,7 @@ staged execution equivalence; caching wired through a real run.
 """
 
 
-from repro import core as couler
+from repro import couler
 from repro.caching.manager import CacheManager
 from repro.core.submitter import ArgoSubmitter, default_environment
 from repro.engine.operator import WorkflowOperator

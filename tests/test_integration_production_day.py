@@ -8,7 +8,7 @@ This is the closest the test suite gets to the paper's deployment story.
 
 import pytest
 
-from repro import core as couler
+from repro import couler
 from repro.caching.manager import CacheManager
 from repro.engine.operator import WorkflowOperator
 from repro.engine.retry import FailureInjector, RetryPolicy
