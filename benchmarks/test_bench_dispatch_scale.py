@@ -34,7 +34,9 @@ import time
 
 from bench_utils import run_once
 
+from repro.control.policy import PolicyConfig
 from repro.engine.admission import AdmissionPipeline
+from repro.engine.config import EngineConfig
 from repro.engine.fairness import SLO_BATCH, SLO_SERVING
 from repro.engine.queue import UserQuota
 from repro.engine.spec import ExecutableStep, ExecutableWorkflow
@@ -134,11 +136,13 @@ def _run(seed: int) -> dict:
         _clusters(),
         quotas=quotas,
         seed=seed,
-        aging_rate=0.02,
-        max_pending=4 * NUM_WORKFLOWS,
-        fairness="weighted-fair",
-        tenant_weights=weights,
-        protect_gpu=True,
+        config=EngineConfig(
+            max_pending=4 * NUM_WORKFLOWS,
+            fairness="weighted-fair",
+            tenant_weights=weights,
+            protect_gpu=True,
+            policy=PolicyConfig(aging_rate=0.02),
+        ),
     )
     arrivals = PoissonArrivalProcess(rate_per_s=ARRIVAL_RATE_PER_S, seed=seed).times(
         NUM_WORKFLOWS

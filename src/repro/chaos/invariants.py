@@ -100,8 +100,6 @@ def check_operator_idle(operator: WorkflowOperator) -> List[str]:
 def check_queue_drained(queue: MultiClusterQueue) -> List[str]:
     """Quiescent invariants: no residual charges or reservations."""
     violations: List[str] = []
-    if len(queue):
-        violations.append(f"queue still holds {len(queue)} workflows")
     if queue.reservation_underflows:
         violations.append(
             f"{queue.reservation_underflows} reservation underflow(s) "

@@ -13,10 +13,13 @@ engine-native definitions (optionally preview-executing the IR on the
 local engine, since no real Airflow/Tekton deployment exists in this
 environment).
 
-Engine knobs ride in one place: every submitter accepts a keyword-only
-``config=``\\ :class:`~repro.engine.config.EngineConfig` bundle,
-validated at construction (journaling, fairness, SLO lane, engine
-mode, adaptive policy).
+Engine knobs ride in one place: a submitter that builds its own
+environment takes a keyword-only ``config=``\\
+:class:`~repro.engine.config.EngineConfig` bundle (journaling,
+fairness, engine mode, adaptive policy).  A submitter handed an
+environment (``operator=`` / ``pipeline=``) rejects ``config=`` and
+reports that environment's own configuration instead, so its
+``config`` always says what actually runs.
 """
 
 from __future__ import annotations
@@ -76,11 +79,22 @@ class SubmissionResult:
     record: Optional[WorkflowRecord] = None
 
 
+def _check_no_config(environment: str, config: Optional[EngineConfig]) -> None:
+    """Reject ``config=`` next to a caller-built environment."""
+    if config is not None:
+        raise ValueError(
+            f"config= was passed together with {environment}=; configure "
+            f"the environment you pass in instead"
+        )
+
+
 class ArgoSubmitter:
     """Compile to an Argo manifest and execute on the simulated operator.
 
     Pass an existing ``operator`` to share a cluster across
-    submissions; otherwise a fresh default environment is built.
+    submissions; its ``fast`` flag and journal then set
+    ``config.engine`` and ``config.journaled``.  Otherwise a fresh
+    default environment is built from ``config``.
     """
 
     def __init__(
@@ -88,19 +102,21 @@ class ArgoSubmitter:
         operator: Optional[WorkflowOperator] = None,
         run_to_completion: bool = True,
         *,
-        config: EngineConfig = DEFAULT_CONFIG,
+        config: Optional[EngineConfig] = None,
     ) -> None:
-        #: The validated knob bundle this submitter was built with.
-        self.config = config
         if operator is None:
+            config = config or DEFAULT_CONFIG
             operator = default_environment(
                 journal=Journal() if config.journaled else None, fast=config.fast
             )
-        elif config.journaled and operator.journal is None:
-            raise ValueError(
-                "journaled=True but the operator passed in has no journal; "
-                "build it with WorkflowOperator(..., journal=Journal())"
+        else:
+            _check_no_config("operator", config)
+            config = EngineConfig(
+                engine="fast" if operator.fast else "naive",
+                journaled=operator.journal is not None,
             )
+        #: The configuration the operator actually runs with.
+        self.config = config
         self.operator = operator
         #: The durable event journal when journaled mode is on (else None).
         self.journal = self.operator.journal
@@ -132,9 +148,9 @@ class LocalSubmitter(ArgoSubmitter):
                 seed=seed,
                 journal=Journal() if config.journaled else None,
                 fast=config.fast,
-            ),
-            config=config,
+            )
         )
+        self.config = config
 
 
 def default_multicluster(
@@ -145,10 +161,9 @@ def default_multicluster(
 ) -> AdmissionPipeline:
     """A small heterogeneous fleet for admission-pipeline submissions.
 
-    The pipeline is built from ``config.pipeline_kwargs()``; ``journal``
-    rides separately because it carries state, not configuration —
-    callers who want a journaled pipeline pass ``Journal()`` themselves
-    or go through :class:`AdmissionSubmitter`.
+    The pipeline runs with ``config``.  ``journal`` shares an existing
+    journal; ``EngineConfig(journaled=True)`` alone gives the pipeline
+    a fresh one.
     """
     gb = 2**30
     clusters = [
@@ -158,9 +173,7 @@ def default_multicluster(
         Cluster.uniform("cpu-a", 4, cpu_per_node=16.0, memory_per_node=64 * gb),
         Cluster.uniform("cpu-b", 4, cpu_per_node=16.0, memory_per_node=64 * gb),
     ]
-    return AdmissionPipeline(
-        clusters, seed=seed, journal=journal, **config.pipeline_kwargs()
-    )
+    return AdmissionPipeline(clusters, seed=seed, journal=journal, config=config)
 
 
 class AdmissionSubmitter:
@@ -171,7 +184,10 @@ class AdmissionSubmitter:
     placement) instead of being executed on a private single-tenant
     environment.  Pass an existing ``pipeline`` to share one fleet
     across submissions — quota contention and queueing then behave
-    exactly as they would for concurrent tenants.
+    exactly as they would for concurrent tenants; ``config`` is then
+    that pipeline's own.  ``user``, ``priority`` and ``slo_class`` (the
+    SLO lane, ``None`` = the pipeline's default) apply to every
+    submission through this submitter.
     """
 
     def __init__(
@@ -179,35 +195,31 @@ class AdmissionSubmitter:
         pipeline: Optional[AdmissionPipeline] = None,
         user: str = "default",
         priority: int = 0,
+        slo_class: Optional[str] = None,
         run_to_completion: bool = True,
         seed: int = 0,
         *,
-        config: EngineConfig = DEFAULT_CONFIG,
+        config: Optional[EngineConfig] = None,
     ) -> None:
-        #: The validated knob bundle this submitter was built with.
-        self.config = config
-        if pipeline is not None and config.fairness is not None:
+        if pipeline is None:
+            pipeline = default_multicluster(seed=seed, config=config or DEFAULT_CONFIG)
+        else:
+            _check_no_config("pipeline", config)
+        if slo_class is not None and slo_class not in pipeline.lanes:
             raise ValueError(
-                "set EngineConfig(fairness=...) when the submitter builds its "
-                "own pipeline, or configure the pipeline you pass in — not both"
+                f"unknown slo_class {slo_class!r}; the pipeline's lanes are "
+                f"{sorted(pipeline.lanes)}"
             )
-        if pipeline is not None and config.journaled and pipeline.journal is None:
-            raise ValueError(
-                "journaled=True but the pipeline passed in has no journal; "
-                "build it with AdmissionPipeline(..., journal=Journal())"
-            )
-        self.pipeline = pipeline or default_multicluster(
-            seed=seed,
-            journal=Journal() if config.journaled else None,
-            config=config,
-        )
+        self.pipeline = pipeline
+        #: The configuration the pipeline actually runs with.
+        self.config = pipeline.config
         #: Unified decision-log + step-event journal (None when off).
         self.journal = self.pipeline.journal
         self.user = user
         self.priority = priority
         #: SLO lane for every submission through this submitter
         #: (None = the pipeline's default lane).
-        self.slo_class = config.slo_class
+        self.slo_class = slo_class
         self.run_to_completion = run_to_completion
         self.last_admission = None
 

@@ -28,16 +28,20 @@ The surface, by concern:
   (:func:`default_multicluster` builds its default fleet), and
   :class:`AirflowSubmitter` / :class:`TektonSubmitter` generate
   engine-native definitions.
-* **Configuration** — every submitter takes one keyword-only
-  ``config=``\\ :class:`EngineConfig`, validated at construction:
-  ``journaled=True`` records admission decisions and step events into
-  a :class:`Journal` that a fresh replica recovers from by pure replay
-  (:class:`ShardedOperatorFleet` drives several);
-  ``fairness=`` / ``slo_class=`` select a cross-tenant ordering policy
+* **Configuration** — one keyword-only ``config=``\\
+  :class:`EngineConfig`, validated at construction, configures the
+  admission pipeline and every submitter that builds its own
+  environment (one handed an environment reports that environment's
+  config): ``journaled=True`` records admission decisions and step
+  events into a :class:`Journal` that a fresh replica recovers from by
+  pure replay (:class:`ShardedOperatorFleet` drives several);
+  ``fairness=`` selects a cross-tenant ordering policy
   (``strict-priority`` / ``weighted-fair`` / ``drf``, or a custom
-  :class:`FairnessPolicy`) and an SLO lane (:class:`LaneConfig`);
-  ``engine="naive"`` selects the straight-line reference hot paths the
-  ``engine_fast`` verify oracle diffs against.  Adaptive knobs (Eq. 6
+  :class:`FairnessPolicy` registered by name); the SLO lane
+  (:class:`LaneConfig`) is per submission,
+  ``AdmissionSubmitter(slo_class=...)``; ``engine="naive"`` selects
+  the straight-line reference hot paths the ``engine_fast`` verify
+  oracle diffs against.  Adaptive knobs (Eq. 6
   weights, split budget, aging, retry budgets) live in
   :class:`PolicyConfig`, passed as ``EngineConfig(policy=...)`` and
   tuned by :class:`Controller`.

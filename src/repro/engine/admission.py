@@ -24,9 +24,13 @@ arrivals:
   ``strict-priority`` reproduces the aged-priority sort bit-for-bit,
   while ``weighted-fair`` / ``drf`` order tenants by live weighted
   share so no priority stream can starve an idle tenant.  With
-  ``preemption=True``, serving-lane work blocked on headroom may
+  ``EngineConfig(preemption=True)``, serving-lane work blocked on headroom may
   checkpoint-evict over-share batch-lane workflows, which resume from
   their surviving record (possibly on another cluster).
+
+All of these knobs come from one
+:class:`~repro.engine.config.EngineConfig` (``config=``), validated
+there and copied onto plain attributes at construction.
 
 Every admission decision (admit / reject / place / defer / complete)
 is counted in the shared metrics registry and visible to the tracer,
@@ -38,15 +42,15 @@ chaos invariant checker's conservation sweep applies unchanged.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..k8s.cluster import Cluster
 from ..obs.metrics import SHARE_BUCKETS, MetricsRegistry
 from ..obs.trace import NullTracer
+from .config import DEFAULT_CONFIG, EngineConfig
 from .fairness import (
     DEFAULT_SLO_CLASS,
-    FairnessPolicy,
     LaneConfig,
     TenantShares,
     default_lanes,
@@ -138,54 +142,52 @@ class AdmissionPipeline:
         quotas: Optional[Dict[str, UserQuota]] = None,
         seed: int = 0,
         clock: Optional[SimClock] = None,
-        max_pending: Optional[int] = None,
-        aging_rate: float = 0.0,
         tracer: Optional[object] = None,
         metrics: Optional[MetricsRegistry] = None,
-        fairness: Union[str, FairnessPolicy, None] = "strict-priority",
-        tenant_weights: Optional[Dict[str, float]] = None,
         lanes: Optional[Dict[str, LaneConfig]] = None,
-        preemption: bool = False,
-        max_preemptions: int = 2,
-        preempt_cooldown: float = 60.0,
-        protect_gpu: bool = False,
-        fast: bool = True,
         journal: Optional[Journal] = None,
         cache_manager: Optional[object] = None,
         skip_cached_steps: bool = False,
-        retry_policy: Optional[object] = None,
+        *,
+        config: EngineConfig = DEFAULT_CONFIG,
     ) -> None:
         if not clusters:
             raise ValueError("admission pipeline needs at least one cluster")
-        if max_pending is not None and max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1 or None: {max_pending}")
-        if aging_rate < 0:
-            raise ValueError(f"aging_rate must be >= 0: {aging_rate}")
-        if max_preemptions < 0:
-            raise ValueError(f"max_preemptions must be >= 0: {max_preemptions}")
-        if preempt_cooldown < 0:
-            raise ValueError(f"preempt_cooldown must be >= 0: {preempt_cooldown}")
+        # ``config.journaled`` always says whether this pipeline journals.
+        if journal is None and config.journaled:
+            journal = Journal()
+        elif journal is not None and not config.journaled:
+            config = replace(config, journaled=True)
+        #: The validated knob bundle this pipeline runs with.  Its
+        #: values are copied onto the plain attributes below, which the
+        #: placement hot path reads.
+        self.config = config
         self.clock = clock or SimClock()
-        #: Shared journal: admission decisions land in each workflow's
-        #: stream as ``admission-*`` marker records (pure decision log —
-        #: the materializer ignores them), and every per-cluster
-        #: operator journals its step events into the same log.
+        #: Shared journal (passed in, or a fresh one when
+        #: ``config.journaled``): admission decisions land in each
+        #: workflow's stream as ``admission-*`` marker records (pure
+        #: decision log — the materializer ignores them), and every
+        #: per-cluster operator journals its step events into the same log.
         self.journal = journal
         self.queue = MultiClusterQueue(
-            clusters=clusters, quotas=dict(quotas or {}), protect_gpu=protect_gpu
+            clusters=clusters,
+            quotas=dict(quotas or {}),
+            protect_gpu=config.protect_gpu,
         )
         self.tracer = tracer if tracer is not None else NullTracer()
         self.metrics = metrics or MetricsRegistry()
         #: Fast mode parks placement-blocked candidates on wait lists
         #: keyed by what could unblock them instead of re-trying every
-        #: pending workflow on every pass; ``fast=False`` is the naive
+        #: pending workflow on every pass; ``engine="naive"`` is the
         #: reference path the ``engine_fast`` verify oracle diffs
         #: against.  The flag threads through to each cluster operator.
-        self.fast = fast
+        self.fast = config.fast
         #: Optional artifact cache shared by every cluster operator —
         #: cross-workflow reuse (paper Sec. V.B) then applies to
         #: admission-placed work, not just direct operator submissions.
         self.cache_manager = cache_manager
+        policy = config.policy
+        retry_policy = policy.retry_policy() if policy is not None else None
         self.operators: Dict[str, WorkflowOperator] = {
             cluster.name: WorkflowOperator(
                 self.clock,
@@ -197,16 +199,16 @@ class AdmissionPipeline:
                 tracer=self.tracer,
                 metrics=self.metrics,
                 journal=self.journal,
-                fast=fast,
+                fast=self.fast,
             )
             for cluster in clusters
         }
         #: Bounded admission queue depth (None = unbounded).
-        self.max_pending = max_pending
+        self.max_pending = config.max_pending
         #: Effective-priority points gained per second of queue wait.
-        self.aging_rate = aging_rate
+        self.aging_rate = policy.aging_rate if policy is not None else 0.0
         #: Cross-tenant ordering policy within each lane.
-        self.fairness = make_fairness_policy(fairness)
+        self.fairness = make_fairness_policy(config.fairness)
         #: SLO lanes, placed in ``order`` within every pass.
         self.lanes: Dict[str, LaneConfig] = dict(lanes) if lanes else default_lanes()
         for name, lane in self.lanes.items():
@@ -216,16 +218,16 @@ class AdmissionPipeline:
             self.lanes.values(), key=lambda lane: (lane.order, lane.name)
         )
         #: Checkpoint-evict over-share preemptible work for blocked
-        #: ``can_preempt``-lane arrivals (off by default: back-compat).
-        self.preemption = preemption
-        self.max_preemptions = max_preemptions
+        #: ``can_preempt``-lane arrivals (off by default).
+        self.preemption = config.preemption
+        self.max_preemptions = config.max_preemptions
         #: Virtual seconds a restored preemption victim is ineligible
         #: for re-eviction, so migration cost is amortised by progress.
-        self.preempt_cooldown = preempt_cooldown
+        self.preempt_cooldown = config.preempt_cooldown
         #: Live weighted tenant shares over fleet capacity, read by the
         #: fairness policies and the preemption victim search.
         self.shares = TenantShares(
-            self.queue.fleet_capacity(), self.queue.tenant_usage, tenant_weights
+            self.queue.fleet_capacity(), self.queue.tenant_usage, config.tenant_weights
         )
 
         #: Admitted, not yet placed — ordered at each pass by the

@@ -1,14 +1,14 @@
 """Unified engine configuration (``EngineConfig``).
 
 :class:`EngineConfig` is the one place engine and submitter knobs
-live — journaling, fairness and SLO lane, preemption, backpressure,
-the cache score engine and the adaptive
-:class:`~repro.control.policy.PolicyConfig`.  It is a frozen,
-keyword-only dataclass accepted by every submitter constructor
-(``config=EngineConfig(...)``) and by
-:func:`~repro.core.submitter.default_multicluster`, validated at
+live — journaling, fairness, preemption, backpressure and the
+adaptive :class:`~repro.control.policy.PolicyConfig`.  It is a frozen,
+keyword-only dataclass accepted by
+:class:`~repro.engine.admission.AdmissionPipeline`, by the submitters
+that build their own environment (``config=EngineConfig(...)``) and by
+:func:`~repro.core.submitter.default_multicluster`.  It is validated at
 construction time with :class:`~repro.engine.spec.SpecError` naming
-the offending field.
+the offending field; nothing downstream re-checks the values.
 
 ``engine`` selects the hot-path implementation: ``"fast"`` (the
 default — incremental indexes, coalesced drains, parked placement
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, Optional
 
+from .fairness import FAIRNESS_REGISTRY
 from .spec import SpecError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
@@ -28,11 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
 
 #: Valid values for :attr:`EngineConfig.engine`.
 ENGINE_MODES = ("fast", "naive")
-#: Valid values for :attr:`EngineConfig.scorer` (cache score engine).
-SCORER_MODES = ("incremental", "naive")
-#: Fairness policies the config accepts (mirrors the registry in
-#: :mod:`repro.engine.fairness`; ``None`` = pipeline default).
-FAIRNESS_POLICIES = ("strict-priority", "weighted-fair", "drf")
 
 
 @dataclass(frozen=True)
@@ -47,10 +43,10 @@ class EngineConfig:
     engine: str = "fast"
     #: Append every step/admission event to a durable journal.
     journaled: bool = False
-    #: Cross-tenant ordering policy (``None`` = strict-priority).
+    #: Cross-tenant ordering policy: a name in
+    #: :data:`~repro.engine.fairness.FAIRNESS_REGISTRY` (where custom
+    #: policies register), or ``None`` for strict-priority.
     fairness: Optional[str] = None
-    #: SLO lane for submissions (``None`` = the pipeline default lane).
-    slo_class: Optional[str] = None
     #: Fairness weights per tenant (entitlement multipliers).
     tenant_weights: Optional[Dict[str, float]] = None
     #: Checkpoint-evict over-share batch work for blocked serving work.
@@ -63,8 +59,6 @@ class EngineConfig:
     protect_gpu: bool = False
     #: Bounded admission queue depth (``None`` = unbounded).
     max_pending: Optional[int] = None
-    #: Cache score engine: ``"incremental"`` or ``"naive"``.
-    scorer: str = "incremental"
     #: Adaptive policy knobs (:class:`~repro.control.policy.PolicyConfig`);
     #: ``None`` = the static paper defaults, bit-identical to
     #: ``policy=PolicyConfig()``.
@@ -75,25 +69,16 @@ class EngineConfig:
             raise SpecError(
                 f"EngineConfig.engine must be one of {ENGINE_MODES}: {self.engine!r}"
             )
-        if self.scorer not in SCORER_MODES:
-            raise SpecError(
-                f"EngineConfig.scorer must be one of {SCORER_MODES}: {self.scorer!r}"
-            )
         if not isinstance(self.journaled, bool):
             raise SpecError(
                 f"EngineConfig.journaled must be a bool: {self.journaled!r}"
             )
-        if self.fairness is not None and self.fairness not in FAIRNESS_POLICIES:
-            raise SpecError(
-                f"EngineConfig.fairness must be one of {FAIRNESS_POLICIES} "
-                f"or None: {self.fairness!r}"
-            )
-        if self.slo_class is not None and (
-            not isinstance(self.slo_class, str) or not self.slo_class
+        if self.fairness is not None and not (
+            isinstance(self.fairness, str) and self.fairness in FAIRNESS_REGISTRY
         ):
             raise SpecError(
-                f"EngineConfig.slo_class must be a non-empty lane name or "
-                f"None: {self.slo_class!r}"
+                f"EngineConfig.fairness must be one of {sorted(FAIRNESS_REGISTRY)} "
+                f"or None: {self.fairness!r}"
             )
         if self.protect_gpu and self.fairness is None:
             raise SpecError(
@@ -144,38 +129,6 @@ class EngineConfig:
         """True when the fast hot paths are selected."""
         return self.engine == "fast"
 
-    def pipeline_kwargs(self) -> Dict[str, object]:
-        """Keyword arguments for :class:`AdmissionPipeline`.
-
-        ``fairness=None`` resolves to the pipeline's ``strict-priority``
-        default, and the aging rate comes from ``policy`` (0 without
-        one).  A customised retry budget on ``policy`` threads through as a
-        ``RetryPolicy`` for every cluster operator; the default budget
-        passes ``None`` so the operator builds its own (bit-identical).
-        """
-        retry_policy = None
-        if self.policy is not None:
-            default = type(self.policy)()
-            if (self.policy.retry_limit, self.policy.infra_retry_limit) != (
-                default.retry_limit,
-                default.infra_retry_limit,
-            ):
-                retry_policy = self.policy.retry_policy()
-        return {
-            "fairness": self.fairness or "strict-priority",
-            "tenant_weights": (
-                dict(self.tenant_weights) if self.tenant_weights else None
-            ),
-            "preemption": self.preemption,
-            "max_preemptions": self.max_preemptions,
-            "preempt_cooldown": self.preempt_cooldown,
-            "protect_gpu": self.protect_gpu,
-            "max_pending": self.max_pending,
-            "aging_rate": self.policy.aging_rate if self.policy is not None else 0.0,
-            "retry_policy": retry_policy,
-            "fast": self.fast,
-        }
-
     def describe(self) -> str:
         """Compact one-line summary (non-default fields only)."""
         default = EngineConfig()
@@ -190,4 +143,4 @@ class EngineConfig:
 #: The all-defaults config.
 DEFAULT_CONFIG: EngineConfig = EngineConfig()
 
-__all__ = ["EngineConfig", "DEFAULT_CONFIG", "ENGINE_MODES", "SCORER_MODES"]
+__all__ = ["EngineConfig", "DEFAULT_CONFIG", "ENGINE_MODES"]

@@ -1119,37 +1119,7 @@ class WorkflowOperator:
         state = self._states.pop(name, None)
         if state is None:
             return None
-        for handle in state.pending_handles:
-            handle.cancel()
-        state.pending_handles.clear()
-        for step_name in sorted(state.active_attempts):
-            attempt = state.active_attempts[step_name]
-            kept = self._refund_attempt(state, step_name, attempt)
-            pod = attempt.pod
-            pod.phase = PodPhase.FAILED
-            pod.reason = "Preempted"
-            self.scheduler.release(pod)
-            if self.track_pods:
-                self.api_server.update_status(pod)
-            record = state.record.step(step_name)
-            record.infra_failures += 1
-            record.last_error = reason
-            self._m_infra.inc(pattern=reason)
-            self._journal_event(
-                name,
-                "attempt-interrupted",
-                {
-                    "step": step_name,
-                    "pattern": reason,
-                    "fetch": kept[0],
-                    "compute": kept[1],
-                    "hits": kept[2],
-                    "misses": kept[3],
-                },
-                event_id=f"{name}:interrupt:{step_name}:{record.attempts}",
-            )
-        state.active_attempts.clear()
-        state.in_flight = 0
+        self._checkpoint(state, reason, reason, "preempted")
         self._resource_waitq = [
             (wf_name, step_name)
             for wf_name, step_name in self._resource_waitq
@@ -1159,6 +1129,57 @@ class WorkflowOperator:
         # vetted-prefix bookkeeping of the fast drain path.
         self._waitq_dirty()
         self._m_waitq.set(len(self._resource_waitq))
+        # Freed resources can unblock other workflows' queued steps.
+        self._schedule_drain()
+        self._notify_peers()
+        return state.record
+
+    def _checkpoint(
+        self, state: _RunState, pattern: str, reason: str, phase: str
+    ) -> None:
+        """Tear down one workflow's run state, keeping its record.
+
+        Cancels its deferred callbacks, then interrupts every in-flight
+        attempt: the charge is refunded, the pod released (its status
+        reason is ``pattern`` without the ``Err`` suffix) and one
+        *infra* failure with ``pattern`` recorded and journaled, so the
+        lost attempt never bills the application retry budget.  Then it
+        journals ``checkpointed`` with ``reason``, leaves the record
+        with no Running steps, and closes the spans with ``phase``.
+        The caller owns ``self._states`` and the resource wait queue.
+        """
+        name = state.workflow.name
+        for handle in state.pending_handles:
+            handle.cancel()
+        state.pending_handles.clear()
+        for step_name in sorted(state.active_attempts):
+            attempt = state.active_attempts[step_name]
+            kept = self._refund_attempt(state, step_name, attempt)
+            pod = attempt.pod
+            pod.phase = PodPhase.FAILED
+            pod.reason = pattern.removesuffix("Err")
+            self.scheduler.release(pod)
+            if self.track_pods:
+                self.api_server.update_status(pod)
+            record = state.record.step(step_name)
+            record.infra_failures += 1
+            record.last_error = pattern
+            self._m_infra.inc(pattern=pattern)
+            self._journal_event(
+                name,
+                "attempt-interrupted",
+                {
+                    "step": step_name,
+                    "pattern": pattern,
+                    "fetch": kept[0],
+                    "compute": kept[1],
+                    "hits": kept[2],
+                    "misses": kept[3],
+                },
+                event_id=f"{name}:interrupt:{step_name}:{record.attempts}",
+            )
+        state.active_attempts.clear()
+        state.in_flight = 0
         self._journal_event(name, "checkpointed", {"reason": reason})
         if self.journal is not None:
             # Replay-based recovery: the record a resumer reads is what
@@ -1170,12 +1191,8 @@ class WorkflowOperator:
             # steps — their attempts were just interrupted.
             demote_running_steps(state.record)
         for step_name in state.step_spans:
-            self._end_step_span(state, step_name, "preempted")
-        self.tracer.end(state.wf_span, self.clock.now, phase="preempted")
-        # Freed resources can unblock other workflows' queued steps.
-        self._schedule_drain()
-        self._notify_peers()
-        return state.record
+            self._end_step_span(state, step_name, phase)
+        self.tracer.end(state.wf_span, self.clock.now, phase=phase)
 
     def set_cache_outage(self, until: float) -> None:
         """Make cache fetches time out until virtual time ``until``."""
@@ -1206,54 +1223,8 @@ class WorkflowOperator:
         """
         states = list(self._states.values())
         for state in states:
-            name = state.workflow.name
-            for handle in state.pending_handles:
-                handle.cancel()
-            state.pending_handles.clear()
-            for step_name in sorted(state.active_attempts):
-                attempt = state.active_attempts[step_name]
-                kept = self._refund_attempt(state, step_name, attempt)
-                pod = attempt.pod
-                pod.phase = PodPhase.FAILED
-                pod.reason = "OperatorRestart"
-                self.scheduler.release(pod)
-                if self.track_pods:
-                    self.api_server.update_status(pod)
-                record = state.record.step(step_name)
-                record.infra_failures += 1
-                record.last_error = "OperatorRestartErr"
-                self._m_infra.inc(pattern="OperatorRestartErr")
-                self._journal_event(
-                    name,
-                    "attempt-interrupted",
-                    {
-                        "step": step_name,
-                        "pattern": "OperatorRestartErr",
-                        "fetch": kept[0],
-                        "compute": kept[1],
-                        "hits": kept[2],
-                        "misses": kept[3],
-                    },
-                    event_id=f"{name}:interrupt:{step_name}:{record.attempts}",
-                )
-            state.active_attempts.clear()
-            state.in_flight = 0
-            self._journal_event(
-                name, "checkpointed", {"reason": "operator-restart"}
-            )
-            if self.journal is not None:
-                # Replay-based recovery: rebuild the record from the
-                # journal (which enforces the no-Running-steps invariant)
-                # instead of trusting the in-memory snapshot.
-                self.journal.materialize_into(name, state.record)
-            else:
-                # The snapshot a restarted controller reads has no
-                # Running steps — they died with it.
-                demote_running_steps(state.record)
-            for step_name in state.step_spans:
-                self._end_step_span(state, step_name, "operator-restart")
-            self.tracer.end(
-                state.wf_span, self.clock.now, phase="operator-restart"
+            self._checkpoint(
+                state, "OperatorRestartErr", "operator-restart", "operator-restart"
             )
         self._states.clear()
         self._resource_waitq = []

@@ -1,25 +1,36 @@
-"""Multi-cluster workflow queue (paper Appendix B.A).
+"""Multi-cluster workflow placement (paper Appendix B.A).
 
 Ant Group schedules workflows across several clusters with different
-shapes (GPU-heavy, storage-distant, CPU-rich).  A workflow is queued
-with a business priority and a user quota, then dequeued to the cluster
+shapes (GPU-heavy, storage-distant, CPU-rich).  A workflow carries a
+business priority and a user quota, and is placed on the cluster
 chosen by a weighted combination of:
 
 (a) workflow priority, (b) cluster free CPU/memory capacity, (c) the
 user's remaining CPU/memory quota, and (d) the user's remaining GPU
 quota — the four properties the paper lists.
+
+:class:`MultiClusterQueue` is placement-only: it owns quota
+accounting, per-cluster reservations and scoring.  The ordering of
+waiting workflows (priority, aging, fairness, SLO lanes) lives in
+:class:`~repro.engine.admission.AdmissionPipeline`, which calls
+:meth:`MultiClusterQueue.try_place` for each candidate.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..k8s.cluster import Cluster
 from ..k8s.resources import ResourceQuantity
 from .spec import ExecutableWorkflow
+
+
+#: Placement score weights for the paper's four factors (higher wins).
+PRIORITY_WEIGHT = 1.0
+CAPACITY_WEIGHT = 2.0
+USER_QUOTA_WEIGHT = 1.0
+GPU_QUOTA_WEIGHT = 1.0
 
 
 class QuotaError(RuntimeError):
@@ -76,12 +87,11 @@ class UserQuota:
 
 @dataclass
 class DeferredDequeue:
-    """Signal that the head workflow cannot run *right now*.
+    """Signal that a workflow cannot be placed *right now*.
 
-    Returned by :meth:`MultiClusterQueue.dequeue` instead of silently
-    dropping an over-quota workflow (the item used to be popped before
-    ``charge()`` raised, so it vanished from the heap).  The item is
-    handed back to the caller, who re-enqueues it once quota frees up.
+    Returned by :meth:`MultiClusterQueue.try_place` instead of raising
+    for a transient block.  The item is handed back to the caller, who
+    keeps it waiting and retries once quota or headroom frees up.
     """
 
     item: "QueuedWorkflow"
@@ -116,19 +126,16 @@ class QueuedWorkflow:
 
 @dataclass
 class MultiClusterQueue:
-    """Priority queue placing workflows on the best-scoring cluster.
+    """Places workflows on the best-scoring cluster.
 
     The placement score for (workflow, cluster) combines the paper's
-    four factors with configurable weights; higher is better.  GPU
-    workflows are only placed on clusters with GPU capacity.
+    four factors with the module's ``*_WEIGHT`` constants; higher is
+    better.  GPU workflows are only placed on clusters with GPU
+    capacity.
     """
 
     clusters: List[Cluster]
     quotas: Dict[str, UserQuota] = field(default_factory=dict)
-    priority_weight: float = 1.0
-    capacity_weight: float = 2.0
-    user_quota_weight: float = 1.0
-    gpu_quota_weight: float = 1.0
     #: Keep CPU-only work off accelerator clusters whenever some
     #: CPU-only cluster could host it.  GPU nodes are the scarce,
     #: expensive resource (the paper's Ant clusters hold them apart);
@@ -136,8 +143,6 @@ class MultiClusterQueue:
     #: CPU filler and the next GPU workflow queues behind it.  Off by
     #: default: the legacy score considered every cluster.
     protect_gpu: bool = False
-    _heap: List[tuple] = field(default_factory=list)
-    _seq: "itertools.count" = field(default_factory=itertools.count)
     #: Demand already placed on each cluster but possibly not yet
     #: running (queued pods).  Scoring counts it against free capacity,
     #: so a burst of placements spreads instead of piling onto whichever
@@ -154,13 +159,6 @@ class MultiClusterQueue:
     #: Times a release would have driven a reservation negative (a
     #: double-release or lost-placement symptom; clamped, but flagged).
     reservation_underflows: int = 0
-
-    def enqueue(self, item: QueuedWorkflow) -> None:
-        # Negative priority: heapq is a min-heap, higher priority first.
-        heapq.heappush(self._heap, (-item.priority, next(self._seq), item))
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     def _quota_for(self, user: str) -> UserQuota:
         """Mutating accessor for the *charge* paths: installs the
@@ -190,11 +188,12 @@ class MultiClusterQueue:
     def _clamped_fraction(free: float, capacity: float) -> float:
         """Free-capacity fraction, clamped to [0, 1].
 
-        An over-reserved cluster (:meth:`dequeue` places without the
-        headroom gate, so operator wait queues absorb overflow) has
-        negative free capacity; un-clamped it produced *negative* fractions whose
-        magnitude grew with how overcommitted the cluster was, skewing
-        the weighted score instead of simply reading "full".
+        Free capacity is ``capacity - allocated - reserved``, and
+        ``allocated + reserved`` can exceed capacity: a placed
+        workflow's running steps count both in the operator's live
+        allocations and in this queue's reservation.  Such a cluster
+        must read as "full" (0), never as a negative fraction whose
+        magnitude grows with the overlap and skews the weighted score.
         """
         if not capacity:
             return 0.0
@@ -226,10 +225,10 @@ class MultiClusterQueue:
         quota = self._quota_view(item.user)
         user_frac, gpu_frac = quota.remaining_fraction()
         return (
-            self.priority_weight * item.priority
-            + self.capacity_weight * (cpu_frac + mem_frac) / 2.0
-            + self.user_quota_weight * user_frac
-            + self.gpu_quota_weight * (gpu_frac if needs_gpu else 0.0)
+            PRIORITY_WEIGHT * item.priority
+            + CAPACITY_WEIGHT * (cpu_frac + mem_frac) / 2.0
+            + USER_QUOTA_WEIGHT * user_frac
+            + GPU_QUOTA_WEIGHT * (gpu_frac if needs_gpu else 0.0)
         )
 
     def _admission_headroom(self, cluster: Cluster) -> ResourceQuantity:
@@ -254,18 +253,15 @@ class MultiClusterQueue:
         return headroom
 
     def try_place(
-        self, item: QueuedWorkflow, require_capacity: bool = True
+        self, item: QueuedWorkflow
     ) -> Union[DeferredDequeue, Tuple[QueuedWorkflow, Cluster]]:
-        """Quota-charge ``item`` and pick its cluster, without the heap.
+        """Quota-charge ``item`` and pick its cluster.
 
-        The placement half of :meth:`dequeue`, exposed so an
-        event-driven admission pipeline can order candidates itself
-        (e.g. with priority aging) and still share this queue's quota
-        accounting, reservations and scoring.  Returns a
-        :class:`DeferredDequeue` when the user's quota cannot absorb the
-        item's peak demand right now, or — with ``require_capacity``,
-        the default — when no feasible cluster has admission headroom
-        for it.  Raises
+        The caller orders candidates itself (priority, aging, fairness)
+        and shares this queue's quota accounting, reservations and
+        scoring.  Returns a :class:`DeferredDequeue` when the user's
+        quota cannot absorb the item's peak demand right now, or when no
+        feasible cluster has admission headroom for it.  Raises
         :class:`QuotaError` for permanent infeasibility (a GPU workflow
         with no GPU cluster attached).  On success the quota is charged
         and the chosen cluster's reservation recorded; call
@@ -288,18 +284,17 @@ class MultiClusterQueue:
             raise QuotaError(
                 f"workflow {item.workflow.name}: no cluster can host its demand"
             )
-        if require_capacity:
-            scored = [
-                (score, cluster)
-                for score, cluster in scored
-                if demand.fits_within(self._admission_headroom(cluster))
-            ]
-            if not scored:
-                return DeferredDequeue(
-                    item=item,
-                    reason=f"no cluster has admission headroom for {demand}",
-                    kind="headroom",
-                )
+        scored = [
+            (score, cluster)
+            for score, cluster in scored
+            if demand.fits_within(self._admission_headroom(cluster))
+        ]
+        if not scored:
+            return DeferredDequeue(
+                item=item,
+                reason=f"no cluster has admission headroom for {demand}",
+                kind="headroom",
+            )
         scored.sort(key=lambda pair: (-pair[0], pair[1].name))
         best_cluster = scored[0][1]
         quota.charge(demand)
@@ -308,34 +303,6 @@ class MultiClusterQueue:
         self._headroom_cache.pop(best_cluster.name, None)
         self._placements[item.workflow.name] = best_cluster.name
         return item, best_cluster
-
-    def dequeue(self) -> Union[None, DeferredDequeue, Tuple[QueuedWorkflow, Cluster]]:
-        """Pop the highest-priority workflow and pick its cluster.
-
-        Returns ``None`` when the queue is empty, or a
-        :class:`DeferredDequeue` carrying the item when the user's quota
-        cannot absorb its peak demand right now — the workflow is handed
-        back instead of lost, and the caller re-enqueues it after quota
-        frees up.  On success the user's quota is charged for the peak
-        demand; call :meth:`release` when the workflow finishes.
-        """
-        if not self._heap:
-            return None
-        # Placement decided *before* the pop commits: an over-quota
-        # workflow used to be popped first and then lost when charge()
-        # raised.
-        probe = self._heap[0][2]
-        try:
-            placed = self.try_place(probe, require_capacity=False)
-        except QuotaError:
-            # Permanent infeasibility (e.g. a GPU workflow with no GPU
-            # cluster attached): surface it, but re-enqueue the item so
-            # the queue never swallows a workflow.
-            heapq.heappop(self._heap)
-            self.enqueue(probe)
-            raise
-        heapq.heappop(self._heap)
-        return placed
 
     def release(self, item: QueuedWorkflow) -> None:
         """Return the quota charge and reservation when it completes.
@@ -387,22 +354,3 @@ class MultiClusterQueue:
     def headroom(self, cluster: Cluster) -> ResourceQuantity:
         """Public admission-headroom view (capacity minus reservations)."""
         return self._admission_headroom(cluster)
-
-    def requeue(self, item: QueuedWorkflow) -> None:
-        """Re-place a displaced workflow (its cluster died mid-run).
-
-        Releases the old charge/reservation and puts the workflow back
-        in priority order for a fresh placement decision.
-        """
-        self.release(item)
-        self.enqueue(item)
-
-    def balance_report(self) -> Dict[str, float]:
-        """CPU-allocation fraction per cluster (load-balance check)."""
-        out = {}
-        for cluster in self.clusters:
-            capacity = cluster.capacity
-            out[cluster.name] = (
-                cluster.allocated.cpu / capacity.cpu if capacity.cpu else 0.0
-            )
-        return out

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..engine.admission import AdmissionPipeline
+from ..engine.config import EngineConfig
 from ..engine.operator import WorkflowOperator
 from ..engine.retry import RetryPolicy
 from ..engine.simclock import SimClock
@@ -138,10 +139,12 @@ def preempted_completion(
     pipeline = AdmissionPipeline(
         [cluster],
         seed=seed,
-        fairness="drf",
-        preemption=True,
-        max_preemptions=4,
-        preempt_cooldown=cooldown,
+        config=EngineConfig(
+            fairness="drf",
+            preemption=True,
+            max_preemptions=4,
+            preempt_cooldown=cooldown,
+        ),
     )
     workflow = ExecutableWorkflow(name="batch-victim")
     previous = None

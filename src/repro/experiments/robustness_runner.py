@@ -40,7 +40,9 @@ from ..chaos import (
     PodEviction,
     full_check,
 )
+from ..control.policy import PolicyConfig
 from ..engine.admission import AdmissionPipeline
+from ..engine.config import EngineConfig
 from ..engine.journal import Journal, JournalRecord
 from ..engine.operator import WorkflowOperator
 from ..engine.replicas import ShardedOperatorFleet
@@ -174,7 +176,10 @@ def _run_once(
         "chaos", 4, cpu_per_node=8.0, memory_per_node=32 * GB
     )
     pipeline = AdmissionPipeline(
-        [cluster], seed=seed, aging_rate=0.01, tracer=tracer
+        [cluster],
+        seed=seed,
+        tracer=tracer,
+        config=EngineConfig(policy=PolicyConfig(aging_rate=0.01)),
     )
     arrivals = PoissonArrivalProcess(rate_per_s=0.08, seed=seed).times(num_workflows)
     handles = [

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.graph import WorkflowIR
 from .budget import BudgetCost, BudgetModel
@@ -41,23 +41,40 @@ class SplitPlan:
     #: Original edges that now cross parts, as (parent, child) names.
     cut_edges: Set[Tuple[str, str]] = field(default_factory=set)
     costs: List[BudgetCost] = field(default_factory=list)
+    #: ``(key, predecessors, successors)`` per part, built once from
+    #: ``cross_edges`` by :meth:`_part_graph`; the key notices a
+    #: replaced or grown edge set.
+    _graph: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def num_parts(self) -> int:
         return len(self.parts)
 
+    def _part_graph(self) -> Tuple[List[List[int]], List[List[int]]]:
+        """Sorted predecessor and successor lists of every part, in one
+        O(parts + cross edges) pass over ``cross_edges``."""
+        key = (self.num_parts, id(self.cross_edges), len(self.cross_edges))
+        if self._graph is None or self._graph[0] != key:
+            predecessors: List[List[int]] = [[] for _ in range(self.num_parts)]
+            successors: List[List[int]] = [[] for _ in range(self.num_parts)]
+            for src, dst in self.cross_edges:
+                predecessors[dst].append(src)
+                successors[src].append(dst)
+            for edges in predecessors + successors:
+                edges.sort()
+            self._graph = (key, predecessors, successors)
+        return self._graph[1], self._graph[2]
+
     def part_dependencies(self, index: int) -> List[int]:
-        return sorted({src for src, dst in self.cross_edges if dst == index})
+        """The parts ``index`` waits for, ascending; O(in-degree)."""
+        return list(self._part_graph()[0][index])
 
     def topological_part_order(self) -> List[int]:
         """Kahn's algorithm over the part graph, always taking the
         smallest ready part index; O((parts + cross edges) log parts)."""
-        successors: Dict[int, List[int]] = {i: [] for i in range(self.num_parts)}
-        indegree = {i: 0 for i in range(self.num_parts)}
-        for src, dst in self.cross_edges:
-            successors[src].append(dst)
-            indegree[dst] += 1
-        ready = [i for i, d in indegree.items() if d == 0]
+        predecessors, successors = self._part_graph()
+        indegree = [len(parts) for parts in predecessors]
+        ready = [i for i, d in enumerate(indegree) if d == 0]
         heapq.heapify(ready)
         order: List[int] = []
         while ready:

@@ -92,6 +92,10 @@ class CoulerService:
             record = self._merge_staged_records(ir, result.records)
         self._records[ir.name] = record
         self.database.save_workflow(ir, record, owner=owner)
+        if plan.num_parts > 1:
+            # execute() ran every part to completion: the merged record
+            # is final, so it reaches the database and monitor now.
+            self._on_complete(ir, record, owner)
         if run:
             self.operator.run_to_completion()
         return SubmissionHandle(

@@ -376,10 +376,12 @@ def _fairness_run(
     pipeline = AdmissionPipeline(
         [cluster],
         seed=seed,
-        aging_rate=0.01,
-        fairness=fairness,
-        tenant_weights={"t0": 2.0, "t1": 1.0, "t2": 1.0, "t3": 0.5},
-        preemption=preemption,
+        config=EngineConfig(
+            fairness=fairness,
+            tenant_weights={"t0": 2.0, "t1": 1.0, "t2": 1.0, "t3": 0.5},
+            preemption=preemption,
+            policy=PolicyConfig(aging_rate=0.01),
+        ),
     )
     admissions = []
     for index, member in enumerate(fleet):
@@ -498,12 +500,14 @@ def _engine_mode_run(
     pipeline = AdmissionPipeline(
         [cluster],
         seed=seed,
-        aging_rate=0.01,
-        fairness="drf" if preemption else "weighted-fair",
-        tenant_weights={"t0": 2.0, "t1": 1.0, "t2": 1.0, "t3": 0.5},
-        preemption=preemption,
-        fast=fast,
         journal=journal,
+        config=EngineConfig(
+            engine="fast" if fast else "naive",
+            fairness="drf" if preemption else "weighted-fair",
+            tenant_weights={"t0": 2.0, "t1": 1.0, "t2": 1.0, "t3": 0.5},
+            preemption=preemption,
+            policy=PolicyConfig(aging_rate=0.01),
+        ),
     )
     admissions = []
     for index, member in enumerate(fleet):
@@ -724,9 +728,7 @@ def _policy_pipeline_outcome(
     Returns ``("ok", fingerprint)`` or ``("rejected:<reason>", None)`` —
     a rejection is only an oracle failure if the two configs disagree.
     """
-    pipeline = AdmissionPipeline(
-        [_cluster()], seed=seed, **config.pipeline_kwargs()
-    )
+    pipeline = AdmissionPipeline([_cluster()], seed=seed, config=config)
     try:
         record = AdmissionSubmitter(pipeline=pipeline).submit(ir)
     except AdmissionError as exc:

@@ -13,7 +13,7 @@ same-seed determinism digests the benchmark asserts are meaningful.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
 from ..engine.admission import AdmissionPipeline, AdmissionRecord
@@ -108,15 +108,16 @@ def build_pipeline(
 ) -> AdmissionPipeline:
     """An :class:`AdmissionPipeline` over the fleet, knobs from ``config``.
 
-    ``cache_manager`` (with ``skip_cached_steps``) threads a shared
-    artifact cache through every cluster operator — the scenario-corpus
-    runs use it to measure cross-workflow reuse under admission.
-    ``metrics`` shares one registry across admission and operators so
-    the adaptive controller reads the whole run from one place.
+    A config without tenant weights takes the fleet's own
+    ``spec.tenant_weights``.  ``cache_manager`` (with
+    ``skip_cached_steps``) threads a shared artifact cache through every
+    cluster operator — the scenario-corpus runs use it to measure
+    cross-workflow reuse under admission.  ``metrics`` shares one
+    registry across admission and operators so the adaptive controller
+    reads the whole run from one place.
     """
-    kwargs = config.pipeline_kwargs()
-    if kwargs.get("tenant_weights") is None:
-        kwargs["tenant_weights"] = dict(spec.tenant_weights)
+    if not config.tenant_weights:
+        config = replace(config, tenant_weights=dict(spec.tenant_weights))
     return AdmissionPipeline(
         spec.clusters,
         seed=spec.seed,
@@ -124,7 +125,7 @@ def build_pipeline(
         cache_manager=cache_manager,
         skip_cached_steps=skip_cached_steps,
         metrics=metrics,
-        **kwargs,
+        config=config,
     )
 
 

@@ -9,6 +9,7 @@ from repro.core.submitter import (
     default_environment,
 )
 from repro.engine.config import EngineConfig
+from repro.engine.journal import Journal
 from repro.engine.status import WorkflowPhase
 
 
@@ -122,6 +123,37 @@ class TestAdmissionSubmitter:
         submitter.submit(_define_workflow("two"))
         assert [a.workflow_name for a in pipeline.placed] == ["one", "two"]
 
+    def test_injected_environment_is_the_one_source_of_config(self):
+        import pytest
+
+        from repro.core.submitter import AdmissionSubmitter, default_multicluster
+
+        with pytest.raises(ValueError, match="configure the environment"):
+            AdmissionSubmitter(
+                pipeline=default_multicluster(),
+                config=EngineConfig(engine="naive", preemption=True, max_pending=3),
+            )
+        pipeline = default_multicluster(
+            config=EngineConfig(engine="naive", max_pending=3)
+        )
+        submitter = AdmissionSubmitter(pipeline=pipeline)
+        assert submitter.config is pipeline.config
+        assert (pipeline.fast, pipeline.max_pending) == (False, 3)
+        naive = ArgoSubmitter(operator=default_environment(fast=False))
+        assert naive.config.engine == "naive"
+        assert ArgoSubmitter(operator=default_environment()).config.engine == "fast"
+
+    def test_slo_class_is_a_submitter_lane(self):
+        import pytest
+
+        from repro.core.submitter import AdmissionSubmitter
+
+        submitter = AdmissionSubmitter(slo_class="serving")
+        submitter.submit(_define_workflow("lane"))
+        assert submitter.last_admission.slo_class == "serving"
+        with pytest.raises(ValueError, match="slo_class"):
+            AdmissionSubmitter(slo_class="platinum")
+
     def test_couler_run_accepts_admission_submitter(self):
         from repro.core.submitter import AdmissionSubmitter
 
@@ -183,16 +215,25 @@ class TestJournaledMode:
 
         from repro.core.submitter import AdmissionSubmitter, default_multicluster
 
-        with pytest.raises(ValueError, match="no journal"):
+        with pytest.raises(ValueError, match="configure the environment"):
             ArgoSubmitter(
                 operator=default_environment(),
                 config=EngineConfig(journaled=True),
             )
-        with pytest.raises(ValueError, match="no journal"):
+        with pytest.raises(ValueError, match="configure the environment"):
             AdmissionSubmitter(
                 pipeline=default_multicluster(),
                 config=EngineConfig(journaled=True),
             )
+        # The journal of the injected environment is what gets reported.
+        assert ArgoSubmitter(operator=default_environment()).config.journaled is False
+        journaled = ArgoSubmitter(operator=default_environment(journal=Journal()))
+        assert journaled.config.journaled is True
+        shared = AdmissionSubmitter(pipeline=default_multicluster(journal=Journal()))
+        assert shared.config.journaled is True
+        built = default_multicluster(config=EngineConfig(journaled=True))
+        assert built.journal is not None
+        assert AdmissionSubmitter(pipeline=default_multicluster()).journal is None
 
     def test_facade_exports_journal_surface(self):
         from repro import couler as facade

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.control.policy import PolicyConfig
 from repro.engine.admission import AdmissionError, AdmissionPipeline
+from repro.engine.config import EngineConfig
 from repro.engine.queue import UserQuota
 from repro.engine.spec import ExecutableStep, ExecutableWorkflow
 from repro.engine.status import WorkflowPhase
@@ -26,6 +28,10 @@ def _wf(name: str, cpu: float = 8.0, gpu: int = 0, duration: float = 50.0):
 
 def _small_cluster(cpu: float = 8.0):
     return Cluster.uniform("solo", 1, cpu_per_node=cpu, memory_per_node=32 * GB)
+
+
+def _aging(rate: float) -> EngineConfig:
+    return EngineConfig(policy=PolicyConfig(aging_rate=rate))
 
 
 class TestArrivals:
@@ -105,7 +111,7 @@ class TestPriorityAging:
         age they haven't.  Returns the low workflow's wait.
         """
         pipeline = AdmissionPipeline(
-            [_small_cluster(cpu=8.0)], aging_rate=aging_rate
+            [_small_cluster(cpu=8.0)], config=_aging(aging_rate)
         )
         low = pipeline.submit_at(0.0, _wf("low", cpu=8.0, duration=50.0), priority=1)
         for index in range(10):
@@ -129,7 +135,7 @@ class TestPriorityAging:
         assert aged_wait == pytest.approx(50.0)
 
     def test_effective_priority_growth(self):
-        pipeline = AdmissionPipeline([_small_cluster()], aging_rate=0.5)
+        pipeline = AdmissionPipeline([_small_cluster()], config=_aging(0.5))
         record = pipeline.submit_at(10.0, _wf("w"))
         assert record.effective_priority(10.0, 0.5) == 0.0
         assert record.effective_priority(30.0, 0.5) == pytest.approx(10.0)
@@ -137,7 +143,9 @@ class TestPriorityAging:
 
 class TestAdmissionControl:
     def test_backpressure_sheds_when_queue_full(self):
-        pipeline = AdmissionPipeline([_small_cluster(cpu=8.0)], max_pending=2)
+        pipeline = AdmissionPipeline(
+            [_small_cluster(cpu=8.0)], config=EngineConfig(max_pending=2)
+        )
         handles = [
             pipeline.submit_at(0.0, _wf(f"wf{i}", cpu=8.0, duration=1000.0))
             for i in range(5)
@@ -204,7 +212,7 @@ class TestObservability:
     def test_determinism_same_seed(self):
         def fingerprints(seed):
             pipeline = AdmissionPipeline(
-                [_small_cluster(cpu=16.0)], seed=seed, aging_rate=0.05
+                [_small_cluster(cpu=16.0)], seed=seed, config=_aging(0.05)
             )
             for i in range(8):
                 pipeline.submit_at(float(i) * 5.0, _wf(f"wf{i}", cpu=8.0), priority=i % 3)

@@ -7,8 +7,10 @@ Covers the unified-configuration surface:
   handed a caller-built environment from the same config are
   **bit-identical** — same admission logs, same journal streams, same
   full fingerprints — across fuzzer seeds,
+* the pipeline reads its knobs from ``AdmissionPipeline(config=)``,
 * the removed per-feature kwargs (``journaled=``, ``fairness=``,
-  ``slo_class=``, ``EngineConfig(aging_rate=)``) are rejected outright,
+  ``EngineConfig(aging_rate=)``, ``EngineConfig(slo_class=)``,
+  ``EngineConfig(scorer=)``) are rejected outright,
 * every shipped submitter conforms to the ``Submitter`` protocol
   (``config`` member included) and is introspectable.
 """
@@ -29,8 +31,10 @@ from repro.core.submitter import (
     default_environment,
     default_multicluster,
 )
+from repro.engine.admission import AdmissionPipeline
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
 from repro.engine.journal import Journal
+from repro.engine.retry import RetryPolicy
 from repro.engine.spec import SpecError
 from repro.verify.fingerprint import fingerprint_record
 from repro.verify.generator import GeneratorConfig, generate_ir
@@ -50,21 +54,38 @@ class TestValidation:
         assert config.journaled is False
         assert config.fairness is None
 
+    # Ids are pinned so each case keeps its name as cases come and go.
     @pytest.mark.parametrize(
         ("kwargs", "field_name"),
         [
-            ({"engine": "turbo"}, "engine"),
-            ({"scorer": "cached"}, "scorer"),
-            ({"journaled": "yes"}, "journaled"),
-            ({"fairness": "round-robin"}, "fairness"),
-            ({"slo_class": ""}, "slo_class"),
-            ({"protect_gpu": True}, "protect_gpu"),
-            ({"tenant_weights": {"t0": 0.0}}, "tenant_weights"),
-            ({"max_pending": 0}, "max_pending"),
-            ({"policy": "defaults"}, "policy"),
-            ({"preemption": True, "max_preemptions": -1}, "max_preemptions"),
-            ({"preemption": True, "preempt_cooldown": -1.0}, "preempt_cooldown"),
-            ({"max_preemptions": 9}, "preemption"),
+            pytest.param({"engine": "turbo"}, "engine", id="kwargs0-engine"),
+            pytest.param({"journaled": "yes"}, "journaled", id="kwargs2-journaled"),
+            pytest.param(
+                {"fairness": "round-robin"}, "fairness", id="kwargs3-fairness"
+            ),
+            pytest.param(
+                {"protect_gpu": True}, "protect_gpu", id="kwargs5-protect_gpu"
+            ),
+            pytest.param(
+                {"tenant_weights": {"t0": 0.0}},
+                "tenant_weights",
+                id="kwargs6-tenant_weights",
+            ),
+            pytest.param({"max_pending": 0}, "max_pending", id="kwargs7-max_pending"),
+            pytest.param({"policy": "defaults"}, "policy", id="kwargs8-policy"),
+            pytest.param(
+                {"preemption": True, "max_preemptions": -1},
+                "max_preemptions",
+                id="kwargs9-max_preemptions",
+            ),
+            pytest.param(
+                {"preemption": True, "preempt_cooldown": -1.0},
+                "preempt_cooldown",
+                id="kwargs10-preempt_cooldown",
+            ),
+            pytest.param(
+                {"max_preemptions": 9}, "preemption", id="kwargs11-preemption"
+            ),
         ],
     )
     def test_invalid_combo_raises_spec_error_naming_field(
@@ -74,13 +95,41 @@ class TestValidation:
             EngineConfig(**kwargs)
         assert field_name in str(excinfo.value)
 
+    @pytest.mark.parametrize("field_name", ["slo_class", "scorer"])
+    def test_removed_fields_raise_type_error(self, field_name):
+        # slo_class is an AdmissionSubmitter lane; the cache score
+        # engine is chosen on CacheManager(scorer=).
+        with pytest.raises(TypeError, match=field_name):
+            EngineConfig(**{field_name: "serving"})
+
     def test_protect_gpu_valid_with_fairness(self):
         config = EngineConfig(protect_gpu=True, fairness="weighted-fair")
-        assert config.pipeline_kwargs()["protect_gpu"] is True
+        assert default_multicluster(config=config).queue.protect_gpu is True
 
     def test_pipeline_kwargs_resolve_fairness_default(self):
-        assert EngineConfig().pipeline_kwargs()["fairness"] == "strict-priority"
-        assert EngineConfig(engine="naive").pipeline_kwargs()["fast"] is False
+        assert default_multicluster().fairness.name == "strict-priority"
+        naive = default_multicluster(config=EngineConfig(engine="naive"))
+        assert naive.fast is False
+        assert all(op.fast is False for op in naive.operators.values())
+
+    def test_pipeline_copies_every_knob(self):
+        config = EngineConfig(
+            fairness="drf",
+            tenant_weights={"t0": 2.0},
+            preemption=True,
+            max_preemptions=4,
+            preempt_cooldown=5.0,
+            max_pending=7,
+            policy=PolicyConfig(aging_rate=0.25),
+        )
+        pipeline = default_multicluster(config=config)
+        assert pipeline.config is config
+        assert pipeline.fairness.name == "drf"
+        assert pipeline.shares.weights == {"t0": 2.0}
+        assert (pipeline.preemption, pipeline.max_preemptions) == (True, 4)
+        assert pipeline.preempt_cooldown == 5.0
+        assert pipeline.max_pending == 7
+        assert pipeline.aging_rate == 0.25
 
     def test_describe_lists_only_non_defaults(self):
         assert EngineConfig().describe() == "EngineConfig()"
@@ -144,10 +193,7 @@ class TestSpellingEquivalence:
         config = EngineConfig(journaled=True)
         built = _run_argo(ir, seed, config=config)
         injected = _run_argo(
-            ir,
-            seed,
-            operator=default_environment(journal=Journal()),
-            config=config,
+            ir, seed, operator=default_environment(journal=Journal())
         )
         assert built == injected
         assert built[1], "journaled run produced no journal records"
@@ -158,19 +204,18 @@ class TestSpellingEquivalence:
         built = _run_admission(
             ir,
             seed,
-            config=EngineConfig(
-                fairness="weighted-fair", slo_class="serving", journaled=True
-            ),
+            slo_class="serving",
+            config=EngineConfig(fairness="weighted-fair", journaled=True),
         )
         injected = _run_admission(
             ir,
             seed,
+            slo_class="serving",
             pipeline=default_multicluster(
                 seed,
                 journal=Journal(),
                 config=EngineConfig(fairness="weighted-fair"),
             ),
-            config=EngineConfig(slo_class="serving", journaled=True),
         )
         assert built == injected
         assert built[1], "journaled run produced no journal records"
@@ -228,9 +273,11 @@ LEGACY_KWARGS = [
 
 class TestPairwiseMixingRejection:
     """The per-feature kwargs are gone: any of them, alone or mixed with
-    ``config=``, is a ``TypeError`` rather than silently ignored."""
+    ``config=``, is a ``TypeError`` rather than silently ignored.
+    (``slo_class=`` is a per-submission lane of ``AdmissionSubmitter``
+    again, so it only appears here next to a removed kwarg.)"""
 
-    @pytest.mark.parametrize(("kwarg", "value"), LEGACY_KWARGS)
+    @pytest.mark.parametrize(("kwarg", "value"), LEGACY_KWARGS[:2])
     def test_each_single_legacy_kwarg_with_config(self, kwarg, value):
         with pytest.raises(TypeError, match=kwarg):
             AdmissionSubmitter(config=EngineConfig(), **{kwarg: value})
@@ -277,33 +324,46 @@ class TestPolicyField:
             EngineConfig(policy=PolicyConfig(aging_rate=0.01), aging_rate=0.01)
 
     def test_effective_aging_rate_resolution(self):
-        assert EngineConfig().pipeline_kwargs()["aging_rate"] == 0.0
-        assert (
-            EngineConfig(policy=PolicyConfig(aging_rate=0.05)).pipeline_kwargs()[
-                "aging_rate"
-            ]
-            == 0.05
-        )
+        assert default_multicluster().aging_rate == 0.0
+        aged = EngineConfig(policy=PolicyConfig(aging_rate=0.05))
+        assert default_multicluster(config=aged).aging_rate == 0.05
 
     def test_default_policy_pipeline_kwargs_identical(self):
-        assert (
-            EngineConfig(policy=PolicyConfig()).pipeline_kwargs()
-            == EngineConfig().pipeline_kwargs()
+        plain = default_multicluster()
+        with_policy = default_multicluster(
+            config=EngineConfig(policy=PolicyConfig())
         )
-        assert EngineConfig().pipeline_kwargs()["retry_policy"] is None
+        assert _pipeline_knobs(with_policy) == _pipeline_knobs(plain)
 
     def test_custom_retry_budget_threads_through(self):
-        kwargs = EngineConfig(
-            policy=PolicyConfig(retry_limit=5, infra_retry_limit=7)
-        ).pipeline_kwargs()
-        retry = kwargs["retry_policy"]
-        assert retry is not None
-        assert retry.limit == 5
-        assert retry.infra_limit == 7
+        pipeline = default_multicluster(
+            config=EngineConfig(
+                policy=PolicyConfig(retry_limit=5, infra_retry_limit=7)
+            )
+        )
+        for operator in pipeline.operators.values():
+            assert operator.retry_policy.limit == 5
+            assert operator.retry_policy.infra_limit == 7
 
     def test_default_retry_budget_stays_none(self):
-        kwargs = EngineConfig(
-            policy=PolicyConfig(aging_rate=0.05)
-        ).pipeline_kwargs()
-        assert kwargs["retry_policy"] is None
-        assert kwargs["aging_rate"] == 0.05
+        pipeline = default_multicluster(
+            config=EngineConfig(policy=PolicyConfig(aging_rate=0.05))
+        )
+        for operator in pipeline.operators.values():
+            assert operator.retry_policy == RetryPolicy()
+        assert pipeline.aging_rate == 0.05
+
+
+def _pipeline_knobs(pipeline: AdmissionPipeline) -> tuple:
+    return (
+        pipeline.fast,
+        pipeline.max_pending,
+        pipeline.aging_rate,
+        pipeline.fairness.name,
+        pipeline.shares.weights,
+        pipeline.preemption,
+        pipeline.max_preemptions,
+        pipeline.preempt_cooldown,
+        pipeline.queue.protect_gpu,
+        [op.retry_policy for op in pipeline.operators.values()],
+    )

@@ -6,6 +6,7 @@ from repro.engine.admission import AdmissionPipeline
 from repro.engine.config import EngineConfig
 from repro.engine.fairness import (
     DEFAULT_SLO_CLASS,
+    FAIRNESS_REGISTRY,
     SLO_BATCH,
     SLO_SERVING,
     DRFPolicy,
@@ -76,14 +77,17 @@ class TestPolicyResolution:
         with pytest.raises(FairnessError, match="unknown fairness policy"):
             make_fairness_policy("round-robin")
 
-    def test_custom_policy_subclass_plugs_in(self):
+    def test_custom_policy_subclass_plugs_in(self, monkeypatch):
         class Newest(FairnessPolicy):
             name = "newest-first"
 
             def key(self, admission, seq, *, now, aging_rate, shares):
                 return (-seq,)
 
-        pipeline = AdmissionPipeline([_cluster(cpu=64.0)], fairness=Newest())
+        monkeypatch.setitem(FAIRNESS_REGISTRY, Newest.name, Newest)
+        pipeline = AdmissionPipeline(
+            [_cluster(cpu=64.0)], config=EngineConfig(fairness="newest-first")
+        )
         assert pipeline.fairness.name == "newest-first"
 
 
@@ -193,7 +197,7 @@ class TestLaneConfig:
             SLO_BATCH: LaneConfig(name=SLO_BATCH, order=1),
         }
         pipeline = AdmissionPipeline(
-            [_cluster(cpu=8.0)], lanes=lanes, aging_rate=0.0
+            [_cluster(cpu=8.0)], lanes=lanes, config=EngineConfig()
         )
         pipeline.submit_at(0.0, _wf("running", cpu=8.0, duration=100.0))
         aged = pipeline.submit_at(
@@ -217,7 +221,8 @@ def _contended_pipeline(fairness, weights=None):
     'idle' each queue an 8-cpu workflow at the same instant with 'hog'
     carrying the higher priority."""
     pipeline = AdmissionPipeline(
-        [_cluster(cpu=16.0)], fairness=fairness, tenant_weights=weights
+        [_cluster(cpu=16.0)],
+        config=EngineConfig(fairness=fairness, tenant_weights=weights),
     )
     pipeline.submit_at(0.0, _wf("held", cpu=8.0, duration=200.0), user="hog")
     hog = pipeline.submit_at(
@@ -251,8 +256,9 @@ class TestPlacementOrdering:
         priority decides again."""
         pipeline = AdmissionPipeline(
             [_cluster(cpu=16.0)],
-            fairness="weighted-fair",
-            tenant_weights={"hog": 1000.0},
+            config=EngineConfig(
+                fairness="weighted-fair", tenant_weights={"hog": 1000.0}
+            ),
         )
         pipeline.submit_at(0.0, _wf("held", cpu=8.0, duration=200.0), user="hog")
         pipeline.submit_at(0.0, _wf("light", cpu=4.0, duration=200.0), user="idle")
@@ -270,7 +276,7 @@ class TestPlacementOrdering:
         """A GPU-saturating tenant is over-share on DRF even when its
         CPU footprint is tiny."""
         cluster = _cluster(cpu=64.0, gpu=4)
-        pipeline = AdmissionPipeline([cluster], fairness="drf")
+        pipeline = AdmissionPipeline([cluster], config=EngineConfig(fairness="drf"))
         # gpu-tenant holds all 4 GPUs but barely any CPU.
         pipeline.submit_at(
             0.0, _wf("gpu-held", cpu=2.0, gpu=4, duration=200.0), user="gputeam"
@@ -336,7 +342,7 @@ def _preemption_pipeline(seed: int = 0):
     submission arrives with nowhere to go."""
     clusters = [_cluster(name="a", cpu=8.0), _cluster(name="b", cpu=8.0)]
     pipeline = AdmissionPipeline(
-        clusters, seed=seed, fairness="drf", preemption=True
+        clusters, seed=seed, config=EngineConfig(fairness="drf", preemption=True)
     )
     # Four sequential 2-cpu steps: peak demand 8 cpu (one full cluster),
     # 400 s of work — long enough to still be running at t=250.
@@ -409,7 +415,7 @@ class TestPreemption:
 
     def test_preemption_off_by_default(self):
         clusters = [_cluster(name="a", cpu=8.0)]
-        pipeline = AdmissionPipeline(clusters, fairness="drf")
+        pipeline = AdmissionPipeline(clusters, config=EngineConfig(fairness="drf"))
         pipeline.submit_at(
             0.0, _wf("batch", cpu=8.0, duration=400.0), user="b", slo_class=SLO_BATCH
         )
@@ -431,7 +437,9 @@ class TestPreemption:
 
     def test_same_tenant_is_never_preempted_for_itself(self):
         clusters = [_cluster(name="a", cpu=8.0)]
-        pipeline = AdmissionPipeline(clusters, fairness="drf", preemption=True)
+        pipeline = AdmissionPipeline(
+            clusters, config=EngineConfig(fairness="drf", preemption=True)
+        )
         pipeline.submit_at(
             0.0, _wf("mine-1", cpu=8.0, duration=300.0), user="me", slo_class=SLO_BATCH
         )
@@ -454,10 +462,12 @@ def _thrash_pipeline(cooldown: float, seed: int = 0):
     pipeline = AdmissionPipeline(
         [_cluster(name="a", cpu=8.0)],
         seed=seed,
-        fairness="drf",
-        preemption=True,
-        max_preemptions=4,
-        preempt_cooldown=cooldown,
+        config=EngineConfig(
+            fairness="drf",
+            preemption=True,
+            max_preemptions=4,
+            preempt_cooldown=cooldown,
+        ),
     )
     victim = pipeline.submit_at(
         0.0,
@@ -504,8 +514,8 @@ class TestPreemptCooldown:
         assert victim.preemptions >= 2
 
     def test_negative_cooldown_rejected(self):
-        with pytest.raises(ValueError):
-            AdmissionPipeline([_cluster()], preempt_cooldown=-1.0)
+        with pytest.raises(ValueError, match="preempt_cooldown"):
+            EngineConfig(preemption=True, preempt_cooldown=-1.0)
 
 
 # -------------------------------------------------------------- v1 facade
@@ -527,7 +537,7 @@ class TestFacade:
         ir = WorkflowIR(name="probe")
         ir.add_node(IRNode(name="only", op=OpKind.CONTAINER, image="img"))
         submitter = AdmissionSubmitter(
-            config=EngineConfig(fairness="drf", slo_class="serving")
+            slo_class="serving", config=EngineConfig(fairness="drf")
         )
         record = submitter.submit(ir)
         assert record.phase == WorkflowPhase.SUCCEEDED
@@ -537,7 +547,7 @@ class TestFacade:
     def test_submitter_rejects_pipeline_plus_fairness(self):
         from repro.core.submitter import AdmissionSubmitter, default_multicluster
 
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(ValueError, match="configure the environment"):
             AdmissionSubmitter(
                 pipeline=default_multicluster(),
                 config=EngineConfig(fairness="drf"),

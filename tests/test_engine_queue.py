@@ -1,8 +1,14 @@
-"""Unit tests for the multi-cluster workflow queue (Appendix B.A)."""
+"""Unit tests for multi-cluster placement (Appendix B.A).
+
+The queue is placement-only: every case drives ``try_place`` directly.
+Waiting-order behaviour (priority, FIFO, aging) is covered by the
+admission pipeline tests.
+"""
 
 import pytest
 
 from repro.engine.queue import (
+    CAPACITY_WEIGHT,
     DeferredDequeue,
     MultiClusterQueue,
     QueuedWorkflow,
@@ -34,29 +40,10 @@ def _clusters():
     return [gpu_cluster, cpu_cluster]
 
 
-class TestPriorityOrdering:
-    def test_higher_priority_dequeues_first(self):
-        queue = MultiClusterQueue(clusters=_clusters())
-        queue.enqueue(QueuedWorkflow(_wf("low"), user="u", priority=1))
-        queue.enqueue(QueuedWorkflow(_wf("high"), user="u", priority=9))
-        item, _ = queue.dequeue()
-        assert item.workflow.name == "high"
-
-    def test_fifo_within_same_priority(self):
-        queue = MultiClusterQueue(clusters=_clusters())
-        queue.enqueue(QueuedWorkflow(_wf("first"), user="u", priority=5))
-        queue.enqueue(QueuedWorkflow(_wf("second"), user="u", priority=5))
-        assert queue.dequeue()[0].workflow.name == "first"
-
-    def test_empty_queue_returns_none(self):
-        assert MultiClusterQueue(clusters=_clusters()).dequeue() is None
-
-
 class TestPlacement:
     def test_gpu_workflow_lands_on_gpu_cluster(self):
         queue = MultiClusterQueue(clusters=_clusters())
-        queue.enqueue(QueuedWorkflow(_wf("trainer", gpu=2), user="u"))
-        _, cluster = queue.dequeue()
+        _, cluster = queue.try_place(QueuedWorkflow(_wf("trainer", gpu=2), user="u"))
         assert cluster.name == "gpu"
 
     def test_cpu_workflow_prefers_freer_cluster(self):
@@ -69,9 +56,22 @@ class TestPlacement:
             Pod("busy", requests=ResourceQuantity(cpu=14, memory=48 * GB))
         )
         queue = MultiClusterQueue(clusters=clusters)
-        queue.enqueue(QueuedWorkflow(_wf("batch"), user="u"))
-        _, cluster = queue.dequeue()
+        _, cluster = queue.try_place(QueuedWorkflow(_wf("batch"), user="u"))
         assert cluster.name == "cpu"
+
+
+    def test_no_headroom_defers_until_release(self):
+        clusters = [Cluster.uniform("cpu", 1, cpu_per_node=8, memory_per_node=8 * GB)]
+        queue = MultiClusterQueue(clusters=clusters)
+        first = QueuedWorkflow(_wf("first", cpu=8.0), user="u")
+        second = QueuedWorkflow(_wf("second", cpu=8.0), user="u")
+        assert queue.try_place(first)[1] is clusters[0]
+        deferred = queue.try_place(second)
+        assert isinstance(deferred, DeferredDequeue)
+        assert deferred.kind == "headroom"
+        assert queue.tenant_usage("u")[0] == pytest.approx(8.0)  # only first
+        queue.release(first)
+        assert queue.try_place(second)[1] is clusters[0]
 
 
 class TestQuota:
@@ -81,8 +81,7 @@ class TestQuota:
             user="alice", cpu_limit=8, memory_limit=4 * GB, gpu_limit=0
         )
         item = QueuedWorkflow(_wf("a", cpu=4.0), user="alice")
-        queue.enqueue(item)
-        queue.dequeue()
+        queue.try_place(item)
         assert queue.quotas["alice"].cpu_used == 4.0
         queue.release(item)
         assert queue.quotas["alice"].cpu_used == 0.0
@@ -93,27 +92,28 @@ class TestQuota:
             user="bob", cpu_limit=2, memory_limit=GB // 2, gpu_limit=0
         )
         item = QueuedWorkflow(_wf("big", cpu=4.0), user="bob")
-        queue.enqueue(item)
-        popped = queue.dequeue()
-        assert isinstance(popped, DeferredDequeue)
-        assert popped.item is item  # handed back, not lost
+        deferred = queue.try_place(item)
+        assert isinstance(deferred, DeferredDequeue)
+        assert deferred.kind == "quota"
+        assert deferred.item is item  # handed back, not lost
         assert queue.quotas["bob"].cpu_used == 0.0  # nothing charged
-        # The caller can re-enqueue once quota frees; the workflow then
-        # dequeues normally.
+        # The caller retries once quota frees; the workflow then places.
         queue.quotas["bob"].cpu_limit = 8
         queue.quotas["bob"].memory_limit = 2 * GB
-        queue.enqueue(popped.item)
-        dequeued, cluster = queue.dequeue()
-        assert dequeued is item
+        placed, cluster = queue.try_place(deferred.item)
+        assert placed is item
         assert cluster is not None
 
     def test_infeasible_workflow_raises_but_stays_queued(self):
         cpu_only = [Cluster.uniform("cpu", 2, cpu_per_node=8, memory_per_node=8 * GB)]
         queue = MultiClusterQueue(clusters=cpu_only)
-        queue.enqueue(QueuedWorkflow(_wf("needs-gpu", gpu=1), user="u"))
+        item = QueuedWorkflow(_wf("needs-gpu", gpu=1), user="u")
         with pytest.raises(QuotaError):
-            queue.dequeue()
-        assert len(queue) == 1
+            queue.try_place(item)
+        # Nothing was charged or reserved: the caller still holds the
+        # workflow and can reject it cleanly.
+        assert queue.tenant_usage("u") == (0.0, 0, 0)
+        assert queue.headroom(cpu_only[0]) == cpu_only[0].capacity
 
     def test_remaining_fraction(self):
         quota = UserQuota(user="u", cpu_limit=10, memory_limit=100, gpu_limit=4)
@@ -121,14 +121,6 @@ class TestQuota:
         cpu_mem, gpu = quota.remaining_fraction()
         assert cpu_mem == pytest.approx(0.5)
         assert gpu == pytest.approx(0.5)
-
-
-class TestBalanceReport:
-    def test_report_covers_all_clusters(self):
-        queue = MultiClusterQueue(clusters=_clusters())
-        report = queue.balance_report()
-        assert set(report) == {"gpu", "cpu"}
-        assert all(0.0 <= v <= 1.0 for v in report.values())
 
 
 class TestScoringIsReadOnly:
@@ -184,8 +176,7 @@ class TestScoreClamping:
         assert clamp(4.0, 0.0) == 0.0
 
     def test_overcommitted_cluster_scores_as_full_not_negative(self):
-        """Regression: with reservations beyond capacity (the
-        headroom-free ``dequeue()`` path overcommits), the free
+        """Regression: with reservations beyond capacity, the free
         fraction must clamp to 0 rather than skew the score with an
         unbounded negative term."""
         clusters = _clusters()
@@ -204,7 +195,7 @@ class TestScoreClamping:
         # weight (bounded, not runaway-negative).
         empty_score = queue._score(item, clusters[0])
         assert overcommitted < empty_score
-        assert empty_score - overcommitted <= queue.capacity_weight + 1e-9
+        assert empty_score - overcommitted <= CAPACITY_WEIGHT + 1e-9
 
 class TestProtectGpu:
     def test_off_by_default(self):
@@ -216,14 +207,12 @@ class TestProtectGpu:
         gpu_cluster, cpu_cluster = queue.clusters
         assert queue._score(item, gpu_cluster) is None
         assert queue._score(item, cpu_cluster) is not None
-        queue.enqueue(item)
-        _, placed_on = queue.dequeue()
+        _, placed_on = queue.try_place(item)
         assert placed_on.name == "cpu"
 
     def test_gpu_work_still_lands_on_gpu_cluster(self):
         queue = MultiClusterQueue(clusters=_clusters(), protect_gpu=True)
-        queue.enqueue(QueuedWorkflow(_wf("trainer", gpu=1), user="u"))
-        _, cluster = queue.dequeue()
+        _, cluster = queue.try_place(QueuedWorkflow(_wf("trainer", gpu=1), user="u"))
         assert cluster.name == "gpu"
 
     def test_spillover_when_no_cpu_cluster_fits(self):
@@ -234,6 +223,5 @@ class TestProtectGpu:
             Cluster.uniform("small-cpu", 1, cpu_per_node=8, memory_per_node=16 * GB),
         ]
         queue = MultiClusterQueue(clusters=clusters, protect_gpu=True)
-        queue.enqueue(QueuedWorkflow(_wf("wide", cpu=32.0), user="u"))
-        _, cluster = queue.dequeue()
+        _, cluster = queue.try_place(QueuedWorkflow(_wf("wide", cpu=32.0), user="u"))
         assert cluster.name == "gpu"

@@ -239,3 +239,45 @@ class TestStagedExecution:
         result = StagedSubmitter(operator, use_manifests=False).execute(plan)
         assert not result.succeeded
         assert result.records[1] is None or 1 in result.aborted_parts
+
+
+class TestPartDependencies:
+    """``part_dependencies`` against a brute-force scan of the cross
+    edges, on split plans of fuzzer and corpus IRs."""
+
+    @staticmethod
+    def _plans():
+        from repro.verify.generator import generate_ir
+        from repro.verify.oracles import corpus_ir
+
+        irs = [generate_ir(seed) for seed in range(12)]
+        irs += [corpus_ir(index) for index in range(12)]
+        splitter = WorkflowSplitter(BudgetModel(max_steps=2))
+        return [splitter.split(ir) for ir in irs]
+
+    def test_matches_brute_force_scan(self):
+        wired = 0
+        for plan in self._plans():
+            for index in range(plan.num_parts):
+                expected = sorted(
+                    {src for src, dst in plan.cross_edges if dst == index}
+                )
+                assert plan.part_dependencies(index) == expected
+                wired += bool(expected)
+        assert wired, "no split plan had a cross-part dependency"
+
+    def test_order_runs_every_dependency_first(self):
+        for plan in self._plans():
+            position = {
+                part: rank for rank, part in enumerate(plan.topological_part_order())
+            }
+            for index in range(plan.num_parts):
+                for dep in plan.part_dependencies(index):
+                    assert position[dep] < position[index]
+
+    def test_a_grown_edge_set_is_noticed(self):
+        plan = WorkflowSplitter(BudgetModel(max_steps=25)).split(_layered_ir())
+        last = plan.num_parts - 1
+        before = plan.part_dependencies(last)
+        plan.cross_edges.add((last - 1, last))
+        assert plan.part_dependencies(last) == sorted(set(before) | {last - 1})

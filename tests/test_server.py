@@ -169,6 +169,19 @@ class TestService:
         with pytest.raises(SubmissionError):
             service.retry_from_failure("fine")
 
+    def test_split_submission_reaches_the_monitor(self):
+        """Regression: only the one-part path fed the monitor, so a
+        split workflow showed in the database but not in ``status_counts``."""
+        from repro.experiments.ablation_split_budget import build_big_workflow
+
+        service = self._service(budget=BudgetModel(max_steps=20))
+        handle = service.submit(build_big_workflow(num_layers=6, width=10))
+        assert handle.split_parts == 3
+        assert handle.record.phase == WorkflowPhase.SUCCEEDED
+        health = service.health()
+        assert health["database_counts"] == {"Succeeded": 1}
+        assert health["status_counts"] == {"Succeeded": 1}
+
     def test_health_report_includes_database_counts(self):
         service = self._service()
         service.submit(_chain_ir("h1"))

@@ -96,7 +96,9 @@ def test_fairness_oracle_sweep():
 def test_fairness_oracle_scenario_actually_contends():
     """An uncontended fleet verifies nothing: the oracle's scenario
     must produce real deferrals and (with preemption on) evictions."""
+    from repro.control.policy import PolicyConfig
     from repro.engine.admission import AdmissionPipeline
+    from repro.engine.config import EngineConfig
     from repro.k8s.cluster import Cluster
     from repro.verify.oracles import _fairness_fleet
 
@@ -113,10 +115,12 @@ def test_fairness_oracle_scenario_actually_contends():
         pipeline = AdmissionPipeline(
             [cluster],
             seed=seed,
-            aging_rate=0.01,
-            fairness="drf",
-            tenant_weights={"t0": 2.0, "t1": 1.0, "t2": 1.0, "t3": 0.5},
-            preemption=True,
+            config=EngineConfig(
+                fairness="drf",
+                tenant_weights={"t0": 2.0, "t1": 1.0, "t2": 1.0, "t3": 0.5},
+                preemption=True,
+                policy=PolicyConfig(aging_rate=0.01),
+            ),
         )
         for index, member in enumerate(fleet):
             pipeline.submit_at(
